@@ -15,11 +15,12 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .errors import NonFiniteValue, OutsideGuardRadius, VanishingDerivative
 from .quadrature import quadrature_complex
-from .series import DEFAULT_GUARD_RADIUS, DEFAULT_ORDER, TaylorSeries
+from .series import DEFAULT_GUARD_RADIUS, DEFAULT_ORDER, GUARD_SLACK, TaylorSeries
 
 VANISHING_DERIVATIVE_EPS = 1e-14
 # Closed-form kinds are defined on the whole open disk; scans may approach
@@ -27,8 +28,6 @@ VANISHING_DERIVATIVE_EPS = 1e-14
 # the weight factors costs digits.
 CLOSED_FORM_CEILING = 1.0 - 1e-12
 BLASCHKE_ZERO_CAP = 0.8
-# |r e^{i theta}| can round a few ulps above the grid radius r.
-GUARD_SLACK = 1e-13
 
 
 @dataclass(frozen=True)
@@ -375,7 +374,7 @@ class SeriesFn(AnalyticFn):
 
     The first three derivative series are materialized eagerly (termwise
     differentiation, exact to truncation); the pre-Schwarzian and Schwarzian
-    series are left to the derivative module.
+    series are built on first use and cached.
     """
 
     def __init__(self, series: TaylorSeries, require_normalized: bool = True,
@@ -411,6 +410,19 @@ class SeriesFn(AnalyticFn):
 
     def derivative_series(self) -> tuple[TaylorSeries, TaylorSeries, TaylorSeries]:
         return self._d1, self._d2, self._d3
+
+    @cached_property
+    def pre_schwarzian_series(self) -> TaylorSeries:
+        """Series of f''/f' by series division; requires |f'(0)| = 1."""
+        if abs(abs(self._d1.coeffs[0]) - 1.0) > 1e-9:
+            raise ValueError("pre_schwarzian_series expects a normalized series")
+        return self._d2 / self._d1
+
+    @cached_property
+    def schwarzian_series(self) -> TaylorSeries:
+        """Series of P' - P^2/2 with P = f''/f'."""
+        p = self.pre_schwarzian_series
+        return p.diff() - (p * p).scale(0.5)
 
     def second_deriv_origin(self):
         return self._d2.coeffs[0]

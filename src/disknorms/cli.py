@@ -1,7 +1,9 @@
 """Command-line front end: norms, margins, theorem verdicts, alpha sweeps.
 
 Reports are deterministic: given the same invocation (and seed), the JSON
-and CSV bytes are identical across runs and worker counts.  Exit codes:
+and CSV bytes are identical across runs.  --workers is accepted and has no
+effect: scans run serially, so reports are byte-identical for every value.
+Exit codes:
 0 success/pass, 2 theorem violation, 3 precondition unmet, 64 usage error,
 65 evaluation error.
 
@@ -38,9 +40,35 @@ EXIT_PRECONDITION = 3
 EXIT_USAGE = 64
 EXIT_EVALUATION = 65
 
-FUNCTION_TAGS = ("identity", "halfplane", "koebe", "robertson-extremal",
-                 "spiral-power", "random")
-THEOREM_IDS = ("T41", "T42d", "T42g", "T43", "T44", "T45", "LemA")
+_BUILDERS = {
+    "identity": lambda cfg, alpha, zeta: Identity(),
+    "halfplane": lambda cfg, alpha, zeta: HalfPlane(),
+    "koebe": lambda cfg, alpha, zeta: Koebe(),
+    "robertson-extremal": lambda cfg, alpha, zeta: RobertsonExtremal(alpha, zeta),
+    "spiral-power": lambda cfg, alpha, zeta: SpiralPower(alpha, zeta),
+    "random": lambda cfg, alpha, zeta: random_member(alpha, cfg["seed"], cfg["degree"],
+                                                     cfg["zero_f2"]),
+}
+FUNCTION_TAGS = tuple(_BUILDERS)
+
+
+def _lemma_schur(fn, alpha, points):
+    phi = phi_transform(fn, alpha)
+    return lemma_schur_check(phi.evaluator, phi.gamma, points)
+
+
+# each lambda looks its verifier up by module-level name when it runs, so a
+# rebound name (a test double, a tracing wrapper) takes effect
+_VERIFIERS = {
+    "T41": lambda fn, alpha, plan, pts: verify_T41(fn, alpha, plan),
+    "T42d": lambda fn, alpha, plan, pts: verify_T42_distortion(fn, alpha, pts, plan=plan),
+    "T42g": lambda fn, alpha, plan, pts: verify_T42_growth(fn, alpha, pts, plan=plan),
+    "T43": lambda fn, alpha, plan, pts: verify_T43(fn, alpha, plan),
+    "T44": lambda fn, alpha, plan, pts: verify_T44(fn, alpha, plan),
+    "T45": lambda fn, alpha, plan, pts: verify_T45(fn, alpha, plan),
+    "LemA": lambda fn, alpha, plan, pts: _lemma_schur(fn, alpha, pts),
+}
+THEOREM_IDS = tuple(_VERIFIERS)
 
 PLAN_KEYS = ("radial_count", "angular_count", "r_cap", "refine_depth", "rel_tol")
 
@@ -119,7 +147,7 @@ def build_parser() -> _Parser:
         sp.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
         sp.add_argument("--points", type=int, default=None,
                         help="sample count for pointwise verifiers")
-        sp.add_argument("--workers", type=int, default=None)
+        sp.add_argument("--workers", type=int, default=None, help="has no effect")
         sp.add_argument("--format", dest="format", choices=("json", "csv", "text"),
                         default=None)
         sp.add_argument("--out", type=str, default=None, help="output path (default stdout)")
@@ -211,19 +239,8 @@ def build_function(cfg: dict):
     tag = cfg["fn"]
     if tag not in FUNCTION_TAGS:
         raise UsageError(f"unknown function tag {tag!r}; known: {', '.join(FUNCTION_TAGS)}")
-    alpha = _alpha(cfg)
     zeta = complex(math.cos(cfg["zeta_arg"]), math.sin(cfg["zeta_arg"]))
-    if tag == "identity":
-        return Identity()
-    if tag == "halfplane":
-        return HalfPlane()
-    if tag == "koebe":
-        return Koebe()
-    if tag == "robertson-extremal":
-        return RobertsonExtremal(alpha, zeta)
-    if tag == "spiral-power":
-        return SpiralPower(alpha, zeta)
-    return random_member(alpha, cfg["seed"], cfg["degree"], cfg["zero_f2"])
+    return _BUILDERS[tag](cfg, _alpha(cfg), zeta)
 
 
 def _emit(payload: str, out: Optional[str]) -> None:
@@ -235,8 +252,7 @@ def _emit(payload: str, out: Optional[str]) -> None:
 
 
 def _json_payload(cfg: dict, results: dict) -> str:
-    # out/workers are execution details: results must not depend on them,
-    # so they are kept out of the reproducible config block
+    # out/workers do not change results: keep them out of the config block
     skip = ("out", "workers", "command")
     doc = {
         "tool": "disknorms",
@@ -254,12 +270,10 @@ def cmd_norm(cfg: dict) -> int:
     which = cfg["which"]
     results = {}
     if which in ("pre", "both"):
-        est = weighted_sup(pre_schwarzian_evaluator(fn), 1, plan,
-                           r_limit=fn.radius_limit, workers=cfg["workers"])
+        est = weighted_sup(pre_schwarzian_evaluator(fn), 1, plan, r_limit=fn.radius_limit)
         results["pre"] = _norm_json(est)
     if which in ("schwarzian", "both"):
-        est = weighted_sup(schwarzian_evaluator(fn), 2, plan,
-                           r_limit=fn.radius_limit, workers=cfg["workers"])
+        est = weighted_sup(schwarzian_evaluator(fn), 2, plan, r_limit=fn.radius_limit)
         results["schwarzian"] = _norm_json(est)
     fmt = cfg["format"] or "json"
     if fmt == "json":
@@ -285,26 +299,9 @@ def cmd_verify(cfg: dict) -> int:
     if theorem not in THEOREM_IDS:
         raise UsageError(f"unknown theorem id {theorem!r}; known: {', '.join(THEOREM_IDS)}")
     fn = build_function(cfg)
-    alpha = _alpha(cfg)
-    plan = _plan(cfg)
-    workers = cfg["workers"]
     points = random_disk_points(cfg["points"], seed=cfg["seed"] + 1,
                                 radius=min(0.9, fn.radius_limit))
-    if theorem == "T41":
-        rep = verify_T41(fn, alpha, plan, workers=workers)
-    elif theorem == "T42d":
-        rep = verify_T42_distortion(fn, alpha, points, plan=plan, workers=workers)
-    elif theorem == "T42g":
-        rep = verify_T42_growth(fn, alpha, points, plan=plan, workers=workers)
-    elif theorem == "T43":
-        rep = verify_T43(fn, alpha, plan, workers=workers)
-    elif theorem == "T44":
-        rep = verify_T44(fn, alpha, plan, workers=workers)
-    elif theorem == "T45":
-        rep = verify_T45(fn, alpha, plan, workers=workers)
-    else:
-        phi = phi_transform(fn, alpha)
-        rep = lemma_schur_check(phi.evaluator, phi.gamma, points)
+    rep = _VERIFIERS[theorem](fn, _alpha(cfg), _plan(cfg), points)
     fmt = cfg["format"] or "json"
     if fmt == "json":
         _emit(_json_payload(cfg, _report_json(rep)), cfg["out"])
@@ -328,10 +325,8 @@ def cmd_sweep(cfg: dict) -> int:
     for alpha in alphas:
         fn = RobertsonExtremal(alpha)
         c = alpha.cos
-        pre = weighted_sup(pre_schwarzian_evaluator(fn), 1, plan,
-                           r_limit=fn.radius_limit, workers=cfg["workers"])
-        sch = weighted_sup(schwarzian_evaluator(fn), 2, plan,
-                           r_limit=fn.radius_limit, workers=cfg["workers"])
+        pre = weighted_sup(pre_schwarzian_evaluator(fn), 1, plan, r_limit=fn.radius_limit)
+        sch = weighted_sup(schwarzian_evaluator(fn), 2, plan, r_limit=fn.radius_limit)
         rows.append({
             "alpha": alpha.value,
             "pre_bound": 2.0 * c,
@@ -356,7 +351,7 @@ def cmd_sample(cfg: dict) -> int:
     alpha = _alpha(cfg)
     member = random_member(alpha, cfg["seed"], cfg["degree"], cfg["zero_f2"])
     plan = _plan(cfg)
-    margin = robertson_margin(member, alpha, plan, workers=cfg["workers"])
+    margin = robertson_margin(member, alpha, plan)
     prov = member.provenance
     results = {
         "gamma": prov.gamma,
@@ -368,18 +363,15 @@ def cmd_sample(cfg: dict) -> int:
     return EXIT_OK
 
 
+_COMMANDS = {"norm": cmd_norm, "verify": cmd_verify, "sweep": cmd_sweep, "sample": cmd_sample}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         cfg = resolve_config(args)
-        if cfg["command"] == "norm":
-            return cmd_norm(cfg)
-        if cfg["command"] == "verify":
-            return cmd_verify(cfg)
-        if cfg["command"] == "sweep":
-            return cmd_sweep(cfg)
-        return cmd_sample(cfg)
+        return _COMMANDS[cfg["command"]](cfg)
     except UsageError as exc:
         print(f"disknorms: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -47,34 +47,20 @@ def schwarzian_extremal_closed(alpha: Alpha, z: complex) -> complex:
 
 
 def pre_schwarzian_series(f: SeriesFn) -> TaylorSeries:
-    """Series of f''/f'; requires |f'(0)| = 1 (normalized input)."""
-    cached = getattr(f, "_pre_schwarzian_series", None)
-    if cached is not None:
-        return cached
-    d1, d2, _ = f.derivative_series()
-    if abs(abs(d1.coeffs[0]) - 1.0) > 1e-9:
-        raise ValueError("pre_schwarzian_series expects a normalized series")
-    p = d2 / d1
-    f._pre_schwarzian_series = p
-    return p
+    """Series of f''/f'; requires |f'(0)| = 1 (normalized input).  Cached on f."""
+    return f.pre_schwarzian_series
 
 
 def schwarzian_series(f: SeriesFn) -> TaylorSeries:
-    cached = getattr(f, "_schwarzian_series", None)
-    if cached is not None:
-        return cached
-    p = pre_schwarzian_series(f)
-    s = p.diff() - (p * p).scale(0.5)
-    f._schwarzian_series = s
-    return s
+    """Series of P' - P^2/2 with P = f''/f'.  Cached on f."""
+    return f.schwarzian_series
 
 
 def pre_schwarzian_evaluator(f: AnalyticFn):
     """Point evaluator of f''/f'; series-backed functions use their cached
     quotient series (one Horner pass per point)."""
     if isinstance(f, SeriesFn):
-        p = pre_schwarzian_series(f)
-        return p.eval
+        return pre_schwarzian_series(f).eval
 
     def ev(z: complex) -> complex:
         return pre_schwarzian_at(f, z)
@@ -84,8 +70,7 @@ def pre_schwarzian_evaluator(f: AnalyticFn):
 def schwarzian_evaluator(f: AnalyticFn):
     """Point evaluator of the Schwarzian; series-backed via cached series."""
     if isinstance(f, SeriesFn):
-        s = schwarzian_series(f)
-        return s.eval
+        return schwarzian_series(f).eval
 
     def ev(z: complex) -> complex:
         return schwarzian_at(f, z)

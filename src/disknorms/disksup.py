@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -112,23 +111,17 @@ def _scan_radii(plan: SamplingPlan, cap: float) -> list[float]:
 
 
 def _optimize(score: Callable[[float, float], float], plan: SamplingPlan,
-              r_limit: float, workers: int) -> tuple[_Best, int, bool, int]:
+              r_limit: float) -> tuple[_Best, int, bool, int]:
     """Maximize score(r, theta); returns (best, samples, converged, depth_used)."""
     cap = min(plan.r_cap, r_limit)
     radii = _scan_radii(plan, cap)
     thetas = [2.0 * math.pi * j / plan.angular_count for j in range(plan.angular_count)]
-    cells = [(r, t) for r in radii for t in thetas]
 
     best = _Best()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(lambda cell: score(cell[0], cell[1]), cells,
-                                   chunksize=max(1, len(cells) // (4 * workers))))
-    else:
-        values = [score(r, t) for r, t in cells]
-    for (r, t), v in zip(cells, values):  # reduction in fixed index order
-        best.offer(v, r, t, _point(r, t))
-    samples = len(cells)
+    for r in radii:
+        for t in thetas:
+            best.offer(score(r, t), r, t, _point(r, t))
+    samples = len(radii) * len(thetas)
 
     spacing0 = cap * math.sin(0.5 * math.pi / (plan.radial_count - 1))
     history = [best.score]
@@ -203,25 +196,27 @@ def _optimize(score: Callable[[float, float], float], plan: SamplingPlan,
 
 def weighted_sup(g: Callable[[complex], complex], k: int, plan: SamplingPlan,
                  r_limit: float = CLOSED_FORM_CEILING, workers: int = 1) -> NormEstimate:
-    """Estimate sup over the disk of (1 - |z|^2)^k |g(z)| from below."""
+    """Estimate sup over the disk of (1 - |z|^2)^k |g(z)| from below.
+    ``workers`` is ignored: the scan runs serially."""
     if k not in (1, 2):
         raise ValueError(f"weight exponent must be 1 or 2, got {k}")
 
     def score(r: float, theta: float) -> float:
         return weight_factor(r, k) * abs(g(_point(r, theta)))
 
-    best, _, converged, depth_used = _optimize(score, plan, r_limit, workers)
+    best, _, converged, depth_used = _optimize(score, plan, r_limit)
     return NormEstimate(best.score, best.z, best.r, best.theta, k, converged, depth_used)
 
 
 def weighted_inf_re(h: Callable[[complex], complex], plan: SamplingPlan,
                     r_limit: float = CLOSED_FORM_CEILING, workers: int = 1) -> MarginReport:
-    """Sampled infimum of Re h over the disk."""
+    """Sampled infimum of Re h over the disk; ``workers`` is ignored: the
+    scan runs serially."""
 
     def score(r: float, theta: float) -> float:
         return -(h(_point(r, theta)).real)
 
-    best, samples, _, _ = _optimize(score, plan, r_limit, workers)
+    best, samples, _, _ = _optimize(score, plan, r_limit)
     return MarginReport(-best.score, best.z, best.r, best.theta, samples)
 
 

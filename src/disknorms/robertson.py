@@ -44,11 +44,11 @@ def robertson_margin(f: AnalyticFn, alpha: Alpha, plan: SamplingPlan,
 
     Membership is certified when the infimum stays above -TOL_MEMBERSHIP
     (the slack absorbs series truncation error of generated members).
+    ``workers`` is ignored: the scan runs serially.
     """
     if not f.is_normalized:
         raise ValueError(f"{f.name}: membership test needs a normalized function")
-    return weighted_inf_re(robertson_functional(f, alpha), plan,
-                           r_limit=f.radius_limit, workers=workers)
+    return weighted_inf_re(robertson_functional(f, alpha), plan, r_limit=f.radius_limit)
 
 
 def is_certified_member(report: MarginReport, tol: float = TOL_MEMBERSHIP) -> bool:
@@ -60,6 +60,7 @@ def spirallike_margin(g: AnalyticFn, alpha: Alpha, plan: SamplingPlan,
     """Sampled infimum of Re{e^{i alpha} z g'/g}.
 
     The functional extends to z = 0 with value e^{i alpha} by normalization.
+    ``workers`` is ignored: the scan runs serially.
     """
     if not g.is_normalized:
         raise ValueError(f"{g.name}: spirallike test needs a normalized function")
@@ -73,7 +74,7 @@ def spirallike_margin(g: AnalyticFn, alpha: Alpha, plan: SamplingPlan,
             raise ZeroValueEncountered(f"{g.name}: g({z!r}) is numerically zero")
         return phase * z * d.f1 / d.f
 
-    return weighted_inf_re(h, plan, r_limit=g.radius_limit, workers=workers)
+    return weighted_inf_re(h, plan, r_limit=g.radius_limit)
 
 
 def duality_check(f: AnalyticFn, alpha: Alpha, points: Sequence[complex]) -> float:
@@ -137,14 +138,14 @@ def characterization_residuals(f: AnalyticFn, alpha: Alpha,
 
     Membership predicts both >= 0.  The e^{i alpha} factor in res_iii is
     required for the alpha = 0 reduction to the convex-class disk condition.
+    f''/f' of series-backed functions comes from their quotient series.
     """
     z = complex(z)
     if abs(z) >= 1.0:
         raise ValueError(f"need |z| < 1, got {abs(z)}")
     c = alpha.cos
     phase = alpha.phase
-    d = f.derivatives(z)
-    u = d.f2 / d.f1
+    u = pre_schwarzian_evaluator(f)(z)
     w = (1.0 - abs(z)) * (1.0 + abs(z))
     res_ii = (1.0 + phase * z * u).real - (1.0 - c + w / (4.0 * c) * abs(u) ** 2)
     res_iii = 2.0 * c - abs(w * phase * u - 2.0 * c * z.conjugate())

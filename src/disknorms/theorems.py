@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 
 from .catalog import Alpha, AnalyticFn, SeriesFn
 from .derivatives import pre_schwarzian_evaluator, schwarzian_evaluator
-from .disksup import SamplingPlan, weighted_inf_re, weighted_sup
+from .disksup import MarginReport, SamplingPlan, weighted_inf_re, weighted_sup
 from .quadrature import quadrature, quadrature_complex
 from .robertson import (characterization_residuals, is_certified_member,
                         robertson_margin)
@@ -27,6 +27,8 @@ FAIL = "fail"
 PRECONDITION_UNMET = "precondition_unmet"
 
 SECOND_DERIV_ZERO_EPS = 1e-10
+_SCHWARZ_STEP = "the Schwarz-lemma step needs phi(0) = 0"
+_HYPOTHESIS_NOT_MET = "hypothesis of the proof not met"
 GROWTH_R_CAP = 0.999
 # Residual scans carry the (1-|z|^2) weight inside the functional, where the
 # radius is no longer known exactly; keeping a 1e-6 gap to the boundary keeps
@@ -83,15 +85,37 @@ def _margin_detail(report) -> str:
             f"z = {report.witness!r}")
 
 
+def _f2_zero_gate(f: AnalyticFn, consequence: str) -> Optional[str]:
+    """None when f''(0) = 0, else why the f''(0) = 0 hypothesis refuses f."""
+    f2 = abs(f.second_deriv_origin())
+    if f2 <= SECOND_DERIV_ZERO_EPS:
+        return None
+    return f"|f''(0)| = {f2:.6g} != 0: {consequence}"
+
+
+def _membership_gate(theorem_id: str, f: AnalyticFn, alpha: Alpha, plan: SamplingPlan,
+                     note: str = "", side: str = "", estimate: Optional[float] = None,
+                     bound: Optional[float] = None
+                     ) -> tuple[MarginReport, Optional[TheoremReport]]:
+    """The membership margin of f, and the precondition_unmet report that
+    refuses f when the margin does not certify it (None when it does)."""
+    margin = robertson_margin(f, alpha, plan)
+    if is_certified_member(margin):
+        return margin, None
+    return margin, TheoremReport(
+        theorem_id, PRECONDITION_UNMET, 0.0, margin.witness,
+        "not certified as a class member; " + note + _margin_detail(margin) + side,
+        estimate=estimate, bound=bound)
+
+
 def verify_T41(f: AnalyticFn, alpha: Alpha, plan: SamplingPlan,
                tol: float = RESIDUAL_TOL, workers: int = 1) -> TheoremReport:
-    """Membership implies both pointwise characterizations (residuals >= 0)."""
-    margin = robertson_margin(f, alpha, plan, workers)
-    if not is_certified_member(margin):
-        return TheoremReport(
-            "T41", PRECONDITION_UNMET, 0.0, margin.witness,
-            "not certified as a class member; the implications are vacuous: "
-            + _margin_detail(margin))
+    """Membership implies both pointwise characterizations (residuals >= 0).
+    ``workers`` is ignored: scans run serially."""
+    margin, refusal = _membership_gate("T41", f, alpha, plan,
+                                       note="the implications are vacuous: ")
+    if refusal is not None:
+        return refusal
 
     ceiling = min(f.radius_limit, RESIDUAL_SCAN_CEILING)
 
@@ -101,8 +125,8 @@ def verify_T41(f: AnalyticFn, alpha: Alpha, plan: SamplingPlan,
     def h_iii(z: complex) -> complex:
         return complex(characterization_residuals(f, alpha, z)[1], 0.0)
 
-    inf_ii = weighted_inf_re(h_ii, plan, r_limit=ceiling, workers=workers)
-    inf_iii = weighted_inf_re(h_iii, plan, r_limit=ceiling, workers=workers)
+    inf_ii = weighted_inf_re(h_ii, plan, r_limit=ceiling)
+    inf_iii = weighted_inf_re(h_iii, plan, r_limit=ceiling)
     worst = min(inf_ii.inf_value, inf_iii.inf_value)
     witness = inf_ii.witness if inf_ii.inf_value <= inf_iii.inf_value else inf_iii.witness
     status = PASS if worst >= -tol else FAIL
@@ -116,22 +140,19 @@ def verify_T42_distortion(f: AnalyticFn, alpha: Alpha, points: Sequence[complex]
                           tol: float = DISTORTION_TOL, plan: Optional[SamplingPlan] = None,
                           workers: int = 1) -> TheoremReport:
     """(1+|z|^2)^(-cos a) <= |f'(z)| <= (1-|z|^2)^(-cos a) for certified members
-    with f''(0) = 0."""
-    f2 = f.second_deriv_origin()
-    if abs(f2) > SECOND_DERIV_ZERO_EPS:
-        return TheoremReport(
-            "T42d", PRECONDITION_UNMET, 0.0, None,
-            f"|f''(0)| = {abs(f2):.6g} != 0: the Schwarz-lemma step needs phi(0) = 0")
-    margin = robertson_margin(f, alpha, plan or SamplingPlan(), workers)
-    if not is_certified_member(margin):
-        return TheoremReport("T42d", PRECONDITION_UNMET, 0.0, margin.witness,
-                             "not certified as a class member; " + _margin_detail(margin))
+    with f''(0) = 0.  ``workers`` is ignored: scans run serially."""
+    reason = _f2_zero_gate(f, _SCHWARZ_STEP)
+    if reason is not None:
+        return TheoremReport("T42d", PRECONDITION_UNMET, 0.0, None, reason)
+    _, refusal = _membership_gate("T42d", f, alpha, plan or SamplingPlan())
+    if refusal is not None:
+        return refusal
     c = alpha.cos
     worst = 0.0
     witness = None
     for z in points:
         r2 = abs(z) ** 2
-        fp = abs(f.derivatives(z).f1)
+        fp = abs(f.deriv123(z)[0])
         lower = (1.0 + r2) ** -c
         upper = (1.0 - r2) ** -c
         viol = max(lower - fp, fp - upper)
@@ -150,23 +171,21 @@ def verify_T42_growth(f: AnalyticFn, alpha: Alpha, points: Sequence[complex],
     """Growth integrals bound |f(z)| for certified members with f''(0) = 0.
 
     Series-backed values are cross-checked against ray quadrature of f'.
+    ``workers`` is ignored: scans run serially.
     """
-    f2 = f.second_deriv_origin()
-    if abs(f2) > SECOND_DERIV_ZERO_EPS:
-        return TheoremReport(
-            "T42g", PRECONDITION_UNMET, 0.0, None,
-            f"|f''(0)| = {abs(f2):.6g} != 0: the Schwarz-lemma step needs phi(0) = 0")
-    margin = robertson_margin(f, alpha, plan or SamplingPlan(), workers)
-    if not is_certified_member(margin):
-        return TheoremReport("T42g", PRECONDITION_UNMET, 0.0, margin.witness,
-                             "not certified as a class member; " + _margin_detail(margin))
+    reason = _f2_zero_gate(f, _SCHWARZ_STEP)
+    if reason is not None:
+        return TheoremReport("T42g", PRECONDITION_UNMET, 0.0, None, reason)
+    _, refusal = _membership_gate("T42g", f, alpha, plan or SamplingPlan())
+    if refusal is not None:
+        return refusal
     worst = 0.0
     witness = None
     cross = 0.0
     for z in points:
         val = abs(f.value(z))
         if isinstance(f, SeriesFn):
-            ray = abs(quadrature_complex(lambda t: f.derivatives(t * z).f1 * z,
+            ray = abs(quadrature_complex(lambda t: f.deriv123(t * z)[0] * z,
                                          0.0, 1.0, 1e-10))
             cross = max(cross, abs(val - ray))
         gb = growth_bounds(abs(z), alpha)
@@ -183,21 +202,19 @@ def verify_T42_growth(f: AnalyticFn, alpha: Alpha, points: Sequence[complex],
 
 def _norm_bound_report(theorem_id: str, f: AnalyticFn, alpha: Alpha,
                        plan: SamplingPlan, evaluator: Callable, k: int,
-                       bound: float, tol: float, workers: int,
+                       bound: float, tol: float,
                        extra_precondition: Optional[str]) -> TheoremReport:
     """Shared body of the norm-bound verifiers; always computes the estimate."""
-    est = weighted_sup(evaluator, k, plan, r_limit=f.radius_limit, workers=workers)
+    est = weighted_sup(evaluator, k, plan, r_limit=f.radius_limit)
     side = f"norm estimate {est.value:.8g} vs bound {bound:.8g} (tolerance {tol:g})"
     if extra_precondition is not None:
         return TheoremReport(theorem_id, PRECONDITION_UNMET, 0.0, est.witness,
                              extra_precondition + "; side report: " + side,
                              estimate=est.value, bound=bound)
-    margin = robertson_margin(f, alpha, plan, workers)
-    if not is_certified_member(margin):
-        return TheoremReport(theorem_id, PRECONDITION_UNMET, 0.0, margin.witness,
-                             "not certified as a class member; " + _margin_detail(margin)
-                             + "; side report: " + side,
-                             estimate=est.value, bound=bound)
+    _, refusal = _membership_gate(theorem_id, f, alpha, plan, side="; side report: " + side,
+                                  estimate=est.value, bound=bound)
+    if refusal is not None:
+        return refusal
     viol = max(0.0, est.value - bound)
     status = PASS if viol <= tol else FAIL
     return TheoremReport(theorem_id, status, viol, est.witness, side,
@@ -206,12 +223,10 @@ def _norm_bound_report(theorem_id: str, f: AnalyticFn, alpha: Alpha,
 
 def verify_T43(f: AnalyticFn, alpha: Alpha, plan: SamplingPlan,
                tol: float = BOUND_TOL, workers: int = 1) -> TheoremReport:
-    """Pre-Schwarzian norm <= 2 cos alpha for members with f''(0) = 0."""
-    f2 = f.second_deriv_origin()
-    gate = (None if abs(f2) <= SECOND_DERIV_ZERO_EPS else
-            f"|f''(0)| = {abs(f2):.6g} != 0: hypothesis of the proof not met")
+    """Pre-Schwarzian norm <= 2 cos alpha for members with f''(0) = 0.
+    ``workers`` is ignored: scans run serially."""
     return _norm_bound_report("T43", f, alpha, plan, pre_schwarzian_evaluator(f), 1,
-                              2.0 * alpha.cos, tol, workers, gate)
+                              2.0 * alpha.cos, tol, _f2_zero_gate(f, _HYPOTHESIS_NOT_MET))
 
 
 def verify_T44(f: AnalyticFn, alpha: Alpha, plan: SamplingPlan,
@@ -224,13 +239,11 @@ def verify_T44(f: AnalyticFn, alpha: Alpha, plan: SamplingPlan,
     |1 - b| = |sin alpha|.  It therefore fails for alpha != 0: the member
     f' = (1 - z^2)^(-b) has norm 2 cos alpha sqrt(4 - 3 cos^2 alpha)
     (tests/test_theorems.py::test_t44_printed_bound_falsified_by_power_member).
+    ``workers`` is ignored: scans run serially.
     """
-    f2 = f.second_deriv_origin()
-    gate = (None if abs(f2) <= SECOND_DERIV_ZERO_EPS else
-            f"|f''(0)| = {abs(f2):.6g} != 0: hypothesis of the proof not met")
     c = alpha.cos
     return _norm_bound_report("T44", f, alpha, plan, schwarzian_evaluator(f), 2,
-                              2.0 * c * (2.0 - c), tol, workers, gate)
+                              2.0 * c * (2.0 - c), tol, _f2_zero_gate(f, _HYPOTHESIS_NOT_MET))
 
 
 def t45_bound(alpha: Alpha, gamma: float) -> float:
@@ -258,7 +271,8 @@ def verify_T45(f: AnalyticFn, alpha: Alpha, plan: SamplingPlan,
     alpha != 0 because it uses 1 - cos a where the proof needs
     |1 - e^{-ia} cos a| = |sin a| (see t45_bound).  A fail verdict is then a
     genuine counterexample; test_criterion_07_gamma_refined_bound confirms
-    each one against an exact evaluation at the witness.
+    each one against an exact evaluation at the witness.  ``workers`` is
+    ignored: scans run serially.
     """
     gamma = abs(f.second_deriv_origin()) / (2.0 * alpha.cos)
     if gamma >= 1.0:
@@ -266,7 +280,7 @@ def verify_T45(f: AnalyticFn, alpha: Alpha, plan: SamplingPlan,
             "T45", PRECONDITION_UNMET, 0.0, None,
             f"gamma = {gamma:.6g} >= 1: bound undefined (and membership impossible)")
     return _norm_bound_report("T45", f, alpha, plan, schwarzian_evaluator(f), 2,
-                              t45_bound(alpha, gamma), tol, workers, None)
+                              t45_bound(alpha, gamma), tol, None)
 
 
 def lemma_schur_check(phi: Callable[[complex], complex], phi0_abs: float,

@@ -5,8 +5,9 @@ import math
 import subprocess
 import sys
 
+import pytest
 
-from disknorms.cli import main
+from disknorms.cli import THEOREM_IDS, main
 
 OK, THEOREM_FAIL, PRECONDITION, USAGE = 0, 2, 3, 64
 
@@ -91,6 +92,16 @@ def test_verify_lemma_schur(tmp_path):
     code, doc = run_json(["verify", "LemA", "--fn", "random", "--seed", "3",
                           "--alpha", "0.4"], tmp_path)
     assert code == OK
+
+
+@pytest.mark.parametrize("theorem", THEOREM_IDS)
+def test_verify_dispatches_every_theorem(theorem, tmp_path):
+    code, doc = run_json(["verify", theorem, "--fn", "random", "--seed", "7",
+                          "--degree", "1", "--zero-f2", "--alpha", "0.5", "--radial", "8",
+                          "--angular", "16", "--points", "5"], tmp_path)
+    assert doc["results"]["theorem_id"] == theorem
+    exit_codes = {"pass": OK, "fail": THEOREM_FAIL, "precondition_unmet": PRECONDITION}
+    assert code == exit_codes[doc["results"]["status"]]
 
 
 def test_verify_unknown_theorem_is_usage_error(tmp_path):

@@ -167,6 +167,11 @@ def test_workers_do_not_change_values():
     est1 = weighted_sup(ev, 2, PLAN, r_limit=fn.radius_limit, workers=1)
     est4 = weighted_sup(ev, 2, PLAN, r_limit=fn.radius_limit, workers=4)
     assert est1 == est4
+    assert (weighted_inf_re(ev, PLAN, r_limit=fn.radius_limit, workers=1)
+            == weighted_inf_re(ev, PLAN, r_limit=fn.radius_limit, workers=3))
+    a = Alpha(0.4)
+    m = random_member(a, seed=3, degree=2)
+    assert robertson_margin(m, a, PLAN, workers=1) == robertson_margin(m, a, PLAN, workers=3)
 
 
 def test_plan_validation():

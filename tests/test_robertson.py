@@ -10,7 +10,7 @@ from disknorms import (Alpha, HalfPlane, Identity, Koebe, RobertsonExtremal,
                        characterization_residuals, cubic_root, duality_check,
                        is_certified_member, phi_transform, random_disk_points,
                        random_member, robertson_margin, spirallike_margin,
-                       univalence_criteria, weighted_sup)
+                       univalence_criteria, verify_T41, weighted_sup)
 from disknorms.derivatives import pre_schwarzian_evaluator
 from disknorms.errors import PhiPoleEncountered
 
@@ -228,6 +228,28 @@ def test_residuals_nonnegative_for_members():
             r2, r3 = characterization_residuals(m, a, z)
             assert r2 >= -1e-6
             assert r3 >= -1e-6
+
+
+def test_residuals_of_member_match_exact_at_guard_radius():
+    """Series-free oracle on |z| = 0.95: a member has f''/f' = 2b phi/(1 - z phi)
+    with b = e^{-ia} cos a and phi its generating self-map.  Residuals formed
+    from separately truncated f'' and f' series were off by 8.7e-3 here and
+    failed T41 for this certified member."""
+    a = Alpha(0.2352468531045333)
+    m = random_member(a, seed=1316016691, degree=1)
+    c, phase = a.cos, a.phase
+    b = cmath.exp(-1j * a.value) * c
+    for j in range(512):
+        z = 0.95 * cmath.exp(2j * math.pi * j / 512)
+        phi = m.provenance.phi(z)
+        u = 2 * b * phi / (1 - z * phi)
+        w = (1 - abs(z)) * (1 + abs(z))
+        exact_ii = (1 + phase * z * u).real - (1 - c + w / (4 * c) * abs(u) ** 2)
+        exact_iii = 2 * c - abs(w * phase * u - 2 * c * z.conjugate())
+        r2, r3 = characterization_residuals(m, a, z)
+        assert abs(r2 - exact_ii) <= 2e-4
+        assert abs(r3 - exact_iii) <= 2e-4
+    assert verify_T41(m, a, PLAN).status == "pass"
 
 
 # -- cubic root and univalence rows ---------------------------------------------

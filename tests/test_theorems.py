@@ -116,6 +116,14 @@ def test_norm_verifiers_deterministic():
     m = random_member(a, seed=2, degree=2, zero_second_deriv=True)
     assert verify_T44(m, a, PLAN) == verify_T44(m, a, PLAN)
     assert verify_T43(m, a, PLAN, workers=1) == verify_T43(m, a, PLAN, workers=4)
+    pts = random_disk_points(5, seed=9)
+    assert verify_T41(m, a, PLAN, workers=1) == verify_T41(m, a, PLAN, workers=3)
+    assert (verify_T42_distortion(m, a, pts, plan=PLAN, workers=1)
+            == verify_T42_distortion(m, a, pts, plan=PLAN, workers=3))
+    assert (verify_T42_growth(m, a, pts, plan=PLAN, workers=1)
+            == verify_T42_growth(m, a, pts, plan=PLAN, workers=3))
+    for verify in (verify_T44, verify_T45):
+        assert verify(m, a, PLAN, workers=1) == verify(m, a, PLAN, workers=3)
 
 
 # -- T42 distortion --------------------------------------------------------------
