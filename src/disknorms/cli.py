@@ -26,7 +26,8 @@ from typing import Optional
 from . import __version__
 from .catalog import (Alpha, HalfPlane, Identity, Koebe, RobertsonExtremal,
                       SpiralPower, random_member)
-from .derivatives import pre_schwarzian_evaluator, schwarzian_evaluator
+from .derivatives import (pre_schwarzian_evaluator, pre_schwarzian_ring,
+                          schwarzian_evaluator, schwarzian_ring)
 from .disksup import SamplingPlan, random_disk_points, weighted_sup
 from .errors import DiskNormsError
 from .robertson import phi_transform, robertson_margin
@@ -270,10 +271,12 @@ def cmd_norm(cfg: dict) -> int:
     which = cfg["which"]
     results = {}
     if which in ("pre", "both"):
-        est = weighted_sup(pre_schwarzian_evaluator(fn), 1, plan, r_limit=fn.radius_limit)
+        est = weighted_sup(pre_schwarzian_evaluator(fn), 1, plan, r_limit=fn.radius_limit,
+                           ring=pre_schwarzian_ring(fn))
         results["pre"] = _norm_json(est)
     if which in ("schwarzian", "both"):
-        est = weighted_sup(schwarzian_evaluator(fn), 2, plan, r_limit=fn.radius_limit)
+        est = weighted_sup(schwarzian_evaluator(fn), 2, plan, r_limit=fn.radius_limit,
+                           ring=schwarzian_ring(fn))
         results["schwarzian"] = _norm_json(est)
     fmt = cfg["format"] or "json"
     if fmt == "json":

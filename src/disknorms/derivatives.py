@@ -75,3 +75,19 @@ def schwarzian_evaluator(f: AnalyticFn):
     def ev(z: complex) -> complex:
         return schwarzian_at(f, z)
     return ev
+
+
+def pre_schwarzian_ring(f: AnalyticFn):
+    """Ring evaluator of f''/f' (TaylorSeries.eval_ring of the cached quotient
+    series) for series-backed functions; None for closed forms."""
+    if isinstance(f, SeriesFn):
+        return pre_schwarzian_series(f).eval_ring
+    return None
+
+
+def schwarzian_ring(f: AnalyticFn):
+    """Ring evaluator of the Schwarzian for series-backed functions; None for
+    closed forms."""
+    if isinstance(f, SeriesFn):
+        return schwarzian_series(f).eval_ring
+    return None

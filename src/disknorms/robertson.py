@@ -15,8 +15,8 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 from .catalog import Alpha, AnalyticFn, second_deriv_origin
-from .derivatives import pre_schwarzian_evaluator
-from .disksup import MarginReport, SamplingPlan, weighted_inf_re
+from .derivatives import pre_schwarzian_evaluator, pre_schwarzian_ring
+from .disksup import MarginReport, SamplingPlan, ring_points, weighted_inf_re
 from .errors import PhiPoleEncountered, ZeroValueEncountered
 
 TOL_MEMBERSHIP = 1e-6
@@ -38,6 +38,19 @@ def robertson_functional(f: AnalyticFn, alpha: Alpha) -> Callable[[complex], com
     return h
 
 
+def _functional_ring(f: AnalyticFn, alpha: Alpha):
+    """Ring evaluator of e^{i alpha}(1 + z f''/f') for series-backed f, from
+    ring values of the quotient series; None for closed forms."""
+    pre_ring = pre_schwarzian_ring(f)
+    if pre_ring is None:
+        return None
+    phase = alpha.phase
+
+    def ring(r: float, m: int) -> list[complex]:
+        return [phase * (1.0 + z * u) for z, u in zip(ring_points(r, m), pre_ring(r, m))]
+    return ring
+
+
 def robertson_margin(f: AnalyticFn, alpha: Alpha, plan: SamplingPlan,
                      workers: int = 1) -> MarginReport:
     """Sampled infimum of the defining real-part functional.
@@ -48,7 +61,8 @@ def robertson_margin(f: AnalyticFn, alpha: Alpha, plan: SamplingPlan,
     """
     if not f.is_normalized:
         raise ValueError(f"{f.name}: membership test needs a normalized function")
-    return weighted_inf_re(robertson_functional(f, alpha), plan, r_limit=f.radius_limit)
+    return weighted_inf_re(robertson_functional(f, alpha), plan, r_limit=f.radius_limit,
+                           ring=_functional_ring(f, alpha))
 
 
 def is_certified_member(report: MarginReport, tol: float = TOL_MEMBERSHIP) -> bool:
@@ -115,10 +129,10 @@ def phi_transform(f: AnalyticFn, alpha: Alpha) -> PhiTransform:
     if not f.is_normalized:
         raise ValueError(f"{f.name}: phi transform needs a normalized function")
     two_beta = 2.0 * cmath.exp(-1j * alpha.value) * alpha.cos
+    pre = pre_schwarzian_evaluator(f)
 
     def phi(z: complex) -> complex:
-        d = f.derivatives(z)
-        u = d.f2 / d.f1
+        u = pre(z)
         den = two_beta + z * u
         if abs(den) <= PHI_POLE_EPS:
             raise PhiPoleEncountered(
@@ -143,9 +157,13 @@ def characterization_residuals(f: AnalyticFn, alpha: Alpha,
     z = complex(z)
     if abs(z) >= 1.0:
         raise ValueError(f"need |z| < 1, got {abs(z)}")
+    return characterization_residuals_of(alpha, z, pre_schwarzian_evaluator(f)(z))
+
+
+def characterization_residuals_of(alpha: Alpha, z: complex, u: complex) -> tuple[float, float]:
+    """(res_ii, res_iii) of characterization_residuals from u = f''/f' at z."""
     c = alpha.cos
     phase = alpha.phase
-    u = pre_schwarzian_evaluator(f)(z)
     w = (1.0 - abs(z)) * (1.0 + abs(z))
     res_ii = (1.0 + phase * z * u).real - (1.0 - c + w / (4.0 * c) * abs(u) ** 2)
     res_iii = 2.0 * c - abs(w * phase * u - 2.0 * c * z.conjugate())

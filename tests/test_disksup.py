@@ -8,8 +8,10 @@ import pytest
 from disknorms import (Alpha, HalfPlane, Koebe, RobertsonExtremal, SamplingPlan,
                        radial_profile, random_disk_points, random_member,
                        robertson_margin, weighted_inf_re, weighted_sup)
-from disknorms.derivatives import pre_schwarzian_evaluator, schwarzian_evaluator
+from disknorms.derivatives import (pre_schwarzian_evaluator, pre_schwarzian_ring,
+                                   schwarzian_evaluator, schwarzian_ring)
 from disknorms.disksup import weight_factor
+from disknorms.robertson import robertson_functional
 
 PLAN = SamplingPlan()
 
@@ -172,6 +174,38 @@ def test_workers_do_not_change_values():
     a = Alpha(0.4)
     m = random_member(a, seed=3, degree=2)
     assert robertson_margin(m, a, PLAN, workers=1) == robertson_margin(m, a, PLAN, workers=3)
+
+
+@pytest.mark.parametrize("aval,seed,degree,zero_f2",
+                         [(0.5, 3, 3, False), (-0.9, 11, 2, False),
+                          (1.1, 21, 1, True), (-0.44, 8, 1, True)])
+def test_ring_grid_phase_matches_pointwise_scan(aval, seed, degree, zero_f2):
+    """A ring only changes how the grid is evaluated, not the estimate."""
+    a = Alpha(aval)
+    m = random_member(a, seed=seed, degree=degree, zero_second_deriv=zero_f2)
+    for ev, ring, k in ((pre_schwarzian_evaluator(m), pre_schwarzian_ring(m), 1),
+                        (schwarzian_evaluator(m), schwarzian_ring(m), 2)):
+        assert (weighted_sup(ev, k, PLAN, r_limit=m.radius_limit, ring=ring)
+                == weighted_sup(ev, k, PLAN, r_limit=m.radius_limit))
+    # robertson_margin passes a ring of the same functional
+    assert (robertson_margin(m, a, PLAN)
+            == weighted_inf_re(robertson_functional(m, a), PLAN, r_limit=m.radius_limit))
+
+
+def test_ring_scan_samples_pointwise_only_off_the_grid():
+    m = random_member(Alpha(0.5), seed=3, degree=3)
+    ev = pre_schwarzian_evaluator(m)
+    calls = []
+
+    def g(z):
+        calls.append(z)
+        return ev(z)
+    weighted_sup(g, 1, PLAN, r_limit=m.radius_limit, ring=pre_schwarzian_ring(m))
+    assert 0 < len(calls) < 1000
+    calls.clear()
+    rep = weighted_inf_re(g, PLAN, r_limit=m.radius_limit, ring=pre_schwarzian_ring(m))
+    assert 0 < len(calls) < 1000
+    assert rep.samples >= PLAN.radial_count * PLAN.angular_count
 
 
 def test_plan_validation():

@@ -1,11 +1,13 @@
 """Series arithmetic: spec examples plus algebraic round-trip properties."""
 
+import cmath
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from disknorms import DivisionBySingularSeries, OutsideGuardRadius, TaylorSeries
+from disknorms import (Alpha, DivisionBySingularSeries, OutsideGuardRadius, TaylorSeries,
+                       random_member)
 from disknorms.errors import NonFiniteValue
 
 
@@ -126,6 +128,35 @@ def test_eval_outside_guard_raises():
     s = geometric()
     with pytest.raises(OutsideGuardRadius):
         s.eval(0.999)
+
+
+RING_MEMBERS = ((0.5, 3, 3, False), (-0.9, 11, 2, False), (1.1, 21, 1, True))
+
+
+@pytest.mark.parametrize("aval,seed,degree,zero_f2", RING_MEMBERS)
+def test_eval_ring_matches_horner(aval, seed, degree, zero_f2):
+    """Horner at each ring point is the oracle for the folded DFT."""
+    m = random_member(Alpha(aval), seed=seed, degree=degree, zero_second_deriv=zero_f2)
+    for s in (m.pre_schwarzian_series, m.schwarzian_series):
+        for n in (16, 24, 127, 128):
+            for r in (0.0, 0.5, 0.95):
+                ring = s.eval_ring(r, n)
+                assert len(ring) == n
+                for j, v in enumerate(ring):
+                    ref = s.eval(cmath.rect(r, 2 * math.pi * j / n))
+                    assert abs(v - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+def test_eval_ring_guards_match_horner():
+    s = geometric()
+    assert abs(s.eval_ring(0.95, 16)[0] - s.eval(0.95)) < 1e-12 * s.eval(0.95).real
+    with pytest.raises(OutsideGuardRadius):
+        s.eval_ring(0.96, 16)
+    huge = TaylorSeries([1e308] * 5)
+    with pytest.raises(NonFiniteValue):
+        huge.eval(0.9)
+    with pytest.raises(NonFiniteValue):
+        huge.eval_ring(0.9, 16)
 
 
 def test_constructor_rejects_bad_guard_and_nan():

@@ -126,6 +126,16 @@ def test_norm_verifiers_deterministic():
         assert verify(m, a, PLAN, workers=1) == verify(m, a, PLAN, workers=3)
 
 
+def test_t41_ring_scans_match_pointwise_scans(monkeypatch):
+    """T41's residual scans give the same report without grid rings."""
+    from disknorms import theorems
+    a = Alpha(0.5)
+    m = random_member(a, seed=7, degree=3)
+    with_rings = verify_T41(m, a, PLAN)
+    monkeypatch.setattr(theorems, "pre_schwarzian_ring", lambda f: None)
+    assert verify_T41(m, a, PLAN) == with_rings
+
+
 # -- T42 distortion --------------------------------------------------------------
 
 def test_t42d_extremal_alpha0_upper_bound_attained_on_real_axis():
