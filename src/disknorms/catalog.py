@@ -40,7 +40,7 @@ class Alpha:
         if not -math.pi / 2 < self.value < math.pi / 2:
             raise ValueError(f"alpha must lie strictly in (-pi/2, pi/2), got {self.value}")
 
-    @property
+    @cached_property
     def cos(self) -> float:
         return math.cos(self.value)
 
@@ -86,29 +86,28 @@ class AnalyticFn:
                 f"{self.name}: |z| = {abs(z):.6g} exceeds limit {self.radius_limit}")
         return z
 
-    def _guard(self, z: complex, values) -> None:
-        for v in values:
-            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-                raise NonFiniteValue(f"{self.name}: non-finite derivative at {z!r}")
+    def _refuse(self, z: complex, values, f1: complex) -> None:
+        if not all(map(cmath.isfinite, values)):
+            raise NonFiniteValue(f"{self.name}: non-finite derivative at {z!r}")
+        raise VanishingDerivative(
+            f"{self.name}: |f'({z!r})| = {abs(f1):.3g} breaks local univalence")
 
     def derivatives(self, z: complex) -> DerivStack:
         z = self._check_radius(z)
-        f, f1, f2, f3 = self._derivs(z)
-        self._guard(z, (f, f1, f2, f3))
-        if abs(f1) <= VANISHING_DERIVATIVE_EPS:
-            raise VanishingDerivative(
-                f"{self.name}: |f'({z!r})| = {abs(f1):.3g} breaks local univalence")
+        f, f1, f2, f3 = values = self._derivs(z)
+        if not (cmath.isfinite(f) and cmath.isfinite(f1) and cmath.isfinite(f2)
+                and cmath.isfinite(f3) and abs(f1) > VANISHING_DERIVATIVE_EPS):
+            self._refuse(z, values, f1)
         return DerivStack(f, f1, f2, f3)
 
     def deriv123(self, z: complex) -> tuple[complex, complex, complex]:
         """(f', f'', f''') with the same guards but skipping the value of f
         (which may need quadrature for integral-defined catalog entries)."""
         z = self._check_radius(z)
-        f1, f2, f3 = self._derivs123(z)
-        self._guard(z, (f1, f2, f3))
-        if abs(f1) <= VANISHING_DERIVATIVE_EPS:
-            raise VanishingDerivative(
-                f"{self.name}: |f'({z!r})| = {abs(f1):.3g} breaks local univalence")
+        f1, f2, f3 = values = self._derivs123(z)
+        if not (cmath.isfinite(f1) and cmath.isfinite(f2) and cmath.isfinite(f3)
+                and abs(f1) > VANISHING_DERIVATIVE_EPS):
+            self._refuse(z, values, f1)
         return f1, f2, f3
 
     def _derivs123(self, z: complex) -> tuple[complex, complex, complex]:
@@ -262,21 +261,22 @@ class SpiralPower(AnalyticFn):
     def name(self):
         return "spiral-power"
 
-    @property
+    @cached_property
     def exponent(self) -> complex:
         return 2 * cmath.exp(-1j * self.alpha.value) * self.alpha.cos
 
-    def _derivs(self, z):
+    def _derivs123(self, z):
         b = self.exponent
         zt = self.zeta
-        w = 1.0 - zt * z
-        logw = cmath.log(w)
-        f1 = cmath.exp(-b * logw)
-        f2 = b * zt * cmath.exp(-(b + 1) * logw)
-        f3 = b * (b + 1) * zt * zt * cmath.exp(-(b + 2) * logw)
+        logw = cmath.log(1.0 - zt * z)
+        return (cmath.exp(-b * logw), b * zt * cmath.exp(-(b + 1) * logw),
+                b * (b + 1) * zt * zt * cmath.exp(-(b + 2) * logw))
+
+    def _derivs(self, z):
+        b = self.exponent
         # primitive in closed form; exponent 1 - b never vanishes for |alpha| < pi/2
-        f = (cmath.exp((1 - b) * logw) - 1.0) / (zt * (b - 1))
-        return f, f1, f2, f3
+        f = (cmath.exp((1 - b) * cmath.log(1.0 - self.zeta * z)) - 1.0) / (self.zeta * (b - 1))
+        return (f, *self._derivs123(z))
 
     def fourth_derivative(self, z):
         z = self._check_radius(z)
@@ -403,6 +403,14 @@ class SeriesFn(AnalyticFn):
 
     def _derivs123(self, z):
         return self._d1.eval(z), self._d2.eval(z), self._d3.eval(z)
+
+    def fprime(self, z: complex) -> complex:
+        """f' alone, with the guards of deriv123."""
+        z = self._check_radius(z)
+        f1 = self._d1.eval(z)
+        if not (cmath.isfinite(f1) and abs(f1) > VANISHING_DERIVATIVE_EPS):
+            self._refuse(z, (f1,), f1)
+        return f1
 
     def fourth_derivative(self, z):
         z = self._check_radius(z)

@@ -9,13 +9,13 @@ tolerance.  Every reported value is an actually evaluated sample, so sup
 estimates are certified lower bounds and inf estimates certified upper
 bounds of the true extrema.
 
-A scan may be given a ring evaluator with the pointwise one: ``ring(r, m)``
-returns the values at the m grid points of one ring (see ring_points), as
-a series-backed function computes them with one folded DFT
-(TaylorSeries.eval_ring).  The grid phase then scores each ring from those
-values in scan order, keeps the first best cell, and re-scores that cell
-with the pointwise evaluator, so the reported value is still one that it
-returned at the witness.  Refinement and march always sample pointwise.
+Every scan scores its grid one ring at a time: ``ring(r, m)`` returns the
+values at the m grid points of one ring (ring_points), from one folded DFT
+for a series-backed function (TaylorSeries.eval_ring), or from the
+pointwise evaluator when a scan is given ``ring=None``.  The grid phase
+keeps the first best cell in scan order and re-scores it pointwise, so the
+reported value is still one that the evaluator returned at the witness.
+Refinement and march always sample pointwise.
 
 The weight (1 - r^2) is always computed as (1 - r)(1 + r) from the grid
 radius, which stays exact to one ulp arbitrarily close to the boundary.
@@ -23,6 +23,7 @@ radius, which stays exact to one ulp arbitrarily close to the boundary.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -97,9 +98,19 @@ def _point(r: float, theta: float) -> complex:
     return complex(r * math.cos(theta), r * math.sin(theta))
 
 
+@functools.lru_cache(maxsize=16)
+def _ring_table(m: int) -> tuple[tuple[float, float], ...]:
+    """(cos, sin) of the m grid angles, built on first use of each m."""
+    return tuple((math.cos(t), math.sin(t)) for t in (2.0 * math.pi * j / m for j in range(m)))
+
+
 def ring_points(r: float, m: int) -> list[complex]:
-    """The grid points r e^{2 pi i j/m}, j = 0..m-1, of one scan ring in scan order."""
-    return [_point(r, 2.0 * math.pi * j / m) for j in range(m)]
+    """The grid points _point(r, 2 pi j/m), j = 0..m-1, of one ring in scan order."""
+    return [complex(r * c, r * s) for c, s in _ring_table(m)]
+
+
+def _pointwise_ring(g: Callable[[complex], complex]) -> RingEvaluator:
+    return lambda r, m: list(map(g, ring_points(r, m)))
 
 
 class _Best:
@@ -127,33 +138,26 @@ def _scan_radii(plan: SamplingPlan, cap: float) -> list[float]:
 
 
 def _optimize(score: Callable[[float, float], float], plan: SamplingPlan,
-              r_limit: float,
-              ring_scores: Optional[Callable[[float, int], Sequence[float]]] = None
+              r_limit: float, ring_scores: Callable[[float, int], Sequence[float]]
               ) -> tuple[_Best, int, bool, int]:
     """Maximize score(r, theta); returns (best, samples, converged, depth_used).
 
-    ring_scores(r, m), when given, scores the m cells of a grid ring at once.
+    ring_scores(r, m) scores the m cells of a grid ring at once.
     """
     cap = min(plan.r_cap, r_limit)
     radii = _scan_radii(plan, cap)
     m = plan.angular_count
-    thetas = [2.0 * math.pi * j / m for j in range(m)]
 
     best = _Best()
-    if ring_scores is None:
-        for r in radii:
-            for t in thetas:
-                best.offer(score(r, t), r, t, _point(r, t))
-    else:
-        # strict improvement keeps the first cell in scan order on ties
-        top, top_r, top_j = -math.inf, 0.0, 0
-        for r in radii:
-            for j, s in enumerate(ring_scores(r, m)):
-                if s > top:
-                    top, top_r, top_j = s, r, j
-        t = thetas[top_j]
-        best.offer(score(top_r, t), top_r, t, _point(top_r, t))
-    samples = len(radii) * len(thetas)
+    # strict improvement keeps the first cell in scan order on ties
+    top, top_r, top_j = -math.inf, 0.0, 0
+    for r in radii:
+        for j, s in enumerate(ring_scores(r, m)):
+            if s > top:
+                top, top_r, top_j = s, r, j
+    t = 2.0 * math.pi * top_j / m
+    best.offer(score(top_r, t), top_r, t, _point(top_r, t))
+    samples = len(radii) * m
 
     spacing0 = cap * math.sin(0.5 * math.pi / (plan.radial_count - 1))
     history = [best.score]
@@ -231,19 +235,19 @@ def weighted_sup(g: Callable[[complex], complex], k: int, plan: SamplingPlan,
                  ring: Optional[RingEvaluator] = None) -> NormEstimate:
     """Estimate sup over the disk of (1 - |z|^2)^k |g(z)| from below.
 
-    ``ring``, when given, evaluates g on whole grid rings (module docstring).
-    ``workers`` is ignored: the scan runs serially."""
+    ``ring`` evaluates g on whole grid rings, by default pointwise (module
+    docstring).  ``workers`` is ignored: the scan runs serially."""
     if k not in (1, 2):
         raise ValueError(f"weight exponent must be 1 or 2, got {k}")
+    if ring is None:
+        ring = _pointwise_ring(g)
 
     def score(r: float, theta: float) -> float:
         return weight_factor(r, k) * abs(g(_point(r, theta)))
 
-    ring_scores = None
-    if ring is not None:
-        def ring_scores(r: float, m: int) -> list[float]:
-            w = weight_factor(r, k)
-            return [w * abs(v) for v in ring(r, m)]
+    def ring_scores(r: float, m: int) -> list[float]:
+        w = weight_factor(r, k)
+        return [w * abs(v) for v in ring(r, m)]
 
     best, _, converged, depth_used = _optimize(score, plan, r_limit, ring_scores)
     return NormEstimate(best.score, best.z, best.r, best.theta, k, converged, depth_used)
@@ -254,16 +258,16 @@ def weighted_inf_re(h: Callable[[complex], complex], plan: SamplingPlan,
                     ring: Optional[RingEvaluator] = None) -> MarginReport:
     """Sampled infimum of Re h over the disk.
 
-    ``ring``, when given, evaluates h on whole grid rings (module docstring).
-    ``workers`` is ignored: the scan runs serially."""
+    ``ring`` evaluates h on whole grid rings, by default pointwise (module
+    docstring).  ``workers`` is ignored: the scan runs serially."""
+    if ring is None:
+        ring = _pointwise_ring(h)
 
     def score(r: float, theta: float) -> float:
         return -(h(_point(r, theta)).real)
 
-    ring_scores = None
-    if ring is not None:
-        def ring_scores(r: float, m: int) -> list[float]:
-            return [-(v.real) for v in ring(r, m)]
+    def ring_scores(r: float, m: int) -> list[float]:
+        return [-(v.real) for v in ring(r, m)]
 
     best, samples, _, _ = _optimize(score, plan, r_limit, ring_scores)
     return MarginReport(-best.score, best.z, best.r, best.theta, samples)

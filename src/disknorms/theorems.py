@@ -100,8 +100,12 @@ def _membership_gate(theorem_id: str, f: AnalyticFn, alpha: Alpha, plan: Samplin
                      bound: Optional[float] = None
                      ) -> tuple[MarginReport, Optional[TheoremReport]]:
     """The membership margin of f, and the precondition_unmet report that
-    refuses f when the margin does not certify it (None when it does)."""
-    margin = robertson_margin(f, alpha, plan)
+    refuses f when the margin does not certify it (None when it does).
+    The margin is kept on the immutable f, one per (alpha, plan)."""
+    margins = vars(f).setdefault("_margins", {})
+    margin = margins.get((alpha, plan))
+    if margin is None:
+        margin = margins[alpha, plan] = robertson_margin(f, alpha, plan)
     if is_certified_member(margin):
         return margin, None
     return margin, TheoremReport(
@@ -194,8 +198,7 @@ def verify_T42_growth(f: AnalyticFn, alpha: Alpha, points: Sequence[complex],
     for z in points:
         val = abs(f.value(z))
         if isinstance(f, SeriesFn):
-            ray = abs(quadrature_complex(lambda t: f.deriv123(t * z)[0] * z,
-                                         0.0, 1.0, 1e-10))
+            ray = abs(quadrature_complex(lambda t: f.fprime(t * z) * z, 0.0, 1.0, 1e-10))
             cross = max(cross, abs(val - ray))
         gb = growth_bounds(abs(z), alpha)
         viol = max(gb.lower - val, val - gb.upper)

@@ -124,6 +124,25 @@ def test_outside_guard_radius():
         Koebe().derivatives(1.0 + 1e-6)
 
 
+@pytest.mark.parametrize("aval,zeta_arg", [(0.6, 0.3), (-1.1, 2.0), (0.0, 0.0)])
+def test_spiral_power_deriv123_matches_derivatives_exactly(aval, zeta_arg):
+    fn = SpiralPower(Alpha(aval), zeta=cmath.exp(1j * zeta_arg))
+    for z in random_disk_points(40, seed=5, radius=0.99) + [0j]:
+        d = fn.derivatives(z)
+        assert fn.deriv123(z) == (d.f1, d.f2, d.f3)
+
+
+def test_series_fprime_matches_deriv123_with_its_guards():
+    member = random_member(Alpha(0.3), seed=4, degree=2)
+    for z in random_disk_points(20, seed=6, radius=0.95):
+        assert member.fprime(z) == member.deriv123(z)[0]
+    with pytest.raises(OutsideGuardRadius):
+        member.fprime(0.96)
+    bad = Polynomial((0, 1, -1.0)).taylor()
+    with pytest.raises(VanishingDerivative):
+        bad.fprime(0.5 + 0j)
+
+
 def test_vanishing_derivative_detected():
     # f' = 1 - 2z vanishes at z = 1/2, well inside the disk
     bad = Polynomial((0, 1, -1.0))

@@ -6,11 +6,11 @@ import math
 import pytest
 
 from disknorms import (Alpha, HalfPlane, Koebe, RobertsonExtremal, SamplingPlan,
-                       radial_profile, random_disk_points, random_member,
+                       SpiralPower, radial_profile, random_disk_points, random_member,
                        robertson_margin, weighted_inf_re, weighted_sup)
 from disknorms.derivatives import (pre_schwarzian_evaluator, pre_schwarzian_ring,
                                    schwarzian_evaluator, schwarzian_ring)
-from disknorms.disksup import weight_factor
+from disknorms.disksup import _point, ring_points, weight_factor
 from disknorms.robertson import robertson_functional
 
 PLAN = SamplingPlan()
@@ -206,6 +206,48 @@ def test_ring_scan_samples_pointwise_only_off_the_grid():
     rep = weighted_inf_re(g, PLAN, r_limit=m.radius_limit, ring=pre_schwarzian_ring(m))
     assert 0 < len(calls) < 1000
     assert rep.samples >= PLAN.radial_count * PLAN.angular_count
+
+
+@pytest.mark.parametrize("m", [16, 24, 127, 128])
+@pytest.mark.parametrize("r", [0.0, 0.5, 0.995, 1.0 - 1e-12])
+def test_ring_points_are_the_grid_points_bit_for_bit(m, r):
+    def bits(zs):
+        return [(z.real.hex(), z.imag.hex()) for z in zs]
+    assert bits(ring_points(r, m)) == bits(_point(r, 2.0 * math.pi * j / m) for j in range(m))
+
+
+# float.hex of (value, witness_r, witness_theta) of both norms at the default
+# plan, from the per-cell grid scan that ring-scored grids replaced
+PINNED_NORMS = {
+    ("robertson-extremal", 1): ("0x1.a68c09eca5c84p+0", "0x1.fff8556947170p-1", "0x1.7eec823a92819p+2"),
+    ("robertson-extremal", 2): ("0x1.f058756173c4ap+0", "0x1.ffe15313c90ebp-1", "0x1.6bb94ede4f971p+1"),
+    ("spiral-power", 1): ("0x1.a68a813dc0cc0p+1", "0x1.ffece497ac332p-1", "0x1.7eec821107cc5p+2"),
+    ("spiral-power", 2): ("0x1.dd2b52ae6d207p+1", "0x1.fff6724bd5001p-1", "0x1.7eec82110b798p+2"),
+    ("koebe", 1): ("0x1.7fffffffff734p+2", "0x1.fffffffffdcd1p-1", "0x0.0p+0"),
+    ("koebe", 2): ("0x1.8000000000016p+2", "0x1.f5b3517526259p-1", "0x0.0p+0"),
+    ("halfplane", 1): ("0x1.fffffffffee68p+1", "0x1.fffffffffdcd1p-1", "0x0.0p+0"),
+    ("halfplane", 2): ("0x1.304ddc44a3f5ep-46", "0x1.a4eb48e79adadp-1", "0x1.8efb75d9ba4bep+2"),
+}
+
+
+def test_closed_form_estimates_pinned():
+    """Closed forms scan their grid through pointwise rings; the estimates,
+    witnesses and margin stay those of the per-cell grid scan, bit for bit."""
+    a, zeta = Alpha(0.6), cmath.exp(0.3j)
+    got = {}
+    for fn in (RobertsonExtremal(a, zeta), SpiralPower(a, zeta), Koebe(), HalfPlane()):
+        for ev, k in ((pre_schwarzian_evaluator(fn), 1), (schwarzian_evaluator(fn), 2)):
+            est = weighted_sup(ev, k, PLAN, r_limit=fn.radius_limit)
+            got[fn.name, k] = (est.value.hex(), est.witness_r.hex(), est.witness_theta.hex())
+    assert got == PINNED_NORMS
+    rep = robertson_margin(SpiralPower(a), a, PLAN)
+    assert (rep.inf_value.hex(), rep.witness_r.hex(), rep.witness_theta.hex(), rep.samples) == (
+        "0x1.d030000000000p-42", "0x1.fffffffffdcd1p-1", "0x1.93b1d4f987145p+1", 8352)
+
+
+def test_grid_ties_go_to_the_first_cell_in_scan_order():
+    assert weighted_sup(lambda z: 1.0, 1, PLAN).witness_theta == 0.0
+    assert weighted_inf_re(lambda z: 1.0, PLAN).witness_theta == 0.0
 
 
 def test_plan_validation():

@@ -359,6 +359,27 @@ def test_t45_printed_bound_falsified_for_some_members():
     assert rep.estimate > rep.bound + 1e-3
 
 
+def test_margin_computed_once_per_member_alpha_and_plan(monkeypatch):
+    """T43-T45 share one membership margin per (f, alpha, plan)."""
+    from disknorms import theorems
+    calls = []
+
+    def counted(f, alpha, plan, workers=1):
+        calls.append((id(f), alpha, plan))
+        return robertson_margin(f, alpha, plan)
+    monkeypatch.setattr(theorems, "robertson_margin", counted)
+    a = Alpha(0.5)
+    coarse = SamplingPlan(radial_count=16, angular_count=32)
+    runs = [(verify, plan) for plan in (PLAN, coarse)
+            for verify in (verify_T43, verify_T44, verify_T45)]
+    m = random_member(a, seed=2, degree=2, zero_second_deriv=True)
+    shared = [verify(m, a, plan) for verify, plan in runs]
+    assert calls == [(id(m), a, PLAN), (id(m), a, coarse)]
+    # a report from a shared margin is the one a fresh margin gives
+    assert shared == [verify(random_member(a, seed=2, degree=2, zero_second_deriv=True), a, plan)
+                      for verify, plan in runs]
+
+
 # -- Lemma (Schur-class growth) ---------------------------------------------------
 
 def test_lemma_schur_identity_map_equality():
