@@ -26,9 +26,8 @@ from typing import Optional
 from . import __version__
 from .catalog import (Alpha, HalfPlane, Identity, Koebe, RobertsonExtremal,
                       SpiralPower, random_member)
-from .derivatives import (pre_schwarzian_evaluator, pre_schwarzian_ring,
-                          schwarzian_evaluator, schwarzian_ring)
-from .disksup import SamplingPlan, random_disk_points, weighted_sup
+from .derivatives import weighted_norm
+from .disksup import SamplingPlan, random_disk_points
 from .errors import DiskNormsError
 from .robertson import phi_transform, robertson_margin
 from .theorems import (PASS, PRECONDITION_UNMET, lemma_schur_check,
@@ -47,8 +46,7 @@ _BUILDERS = {
     "koebe": lambda cfg, alpha, zeta: Koebe(),
     "robertson-extremal": lambda cfg, alpha, zeta: RobertsonExtremal(alpha, zeta),
     "spiral-power": lambda cfg, alpha, zeta: SpiralPower(alpha, zeta),
-    "random": lambda cfg, alpha, zeta: random_member(alpha, cfg["seed"], cfg["degree"],
-                                                     cfg["zero_f2"]),
+    "random": lambda cfg, alpha, zeta: _random_member(cfg, alpha),
 }
 FUNCTION_TAGS = tuple(_BUILDERS)
 
@@ -236,6 +234,13 @@ def _plan(cfg: dict) -> SamplingPlan:
         raise UsageError(str(exc))
 
 
+def _random_member(cfg: dict, alpha: Alpha):
+    try:
+        return random_member(alpha, cfg["seed"], cfg["degree"], cfg["zero_f2"])
+    except ValueError as exc:
+        raise UsageError(str(exc))
+
+
 def build_function(cfg: dict):
     tag = cfg["fn"]
     if tag not in FUNCTION_TAGS:
@@ -268,16 +273,9 @@ def _json_payload(cfg: dict, results: dict) -> str:
 def cmd_norm(cfg: dict) -> int:
     fn = build_function(cfg)
     plan = _plan(cfg)
-    which = cfg["which"]
-    results = {}
-    if which in ("pre", "both"):
-        est = weighted_sup(pre_schwarzian_evaluator(fn), 1, plan, r_limit=fn.radius_limit,
-                           ring=pre_schwarzian_ring(fn))
-        results["pre"] = _norm_json(est)
-    if which in ("schwarzian", "both"):
-        est = weighted_sup(schwarzian_evaluator(fn), 2, plan, r_limit=fn.radius_limit,
-                           ring=schwarzian_ring(fn))
-        results["schwarzian"] = _norm_json(est)
+    results = {key: _norm_json(weighted_norm(fn, k, plan))
+               for key, k in (("pre", 1), ("schwarzian", 2))
+               if cfg["which"] in (key, "both")}
     fmt = cfg["format"] or "json"
     if fmt == "json":
         _emit(_json_payload(cfg, results), cfg["out"])
@@ -301,6 +299,8 @@ def cmd_verify(cfg: dict) -> int:
     theorem = cfg["theorem"]
     if theorem not in THEOREM_IDS:
         raise UsageError(f"unknown theorem id {theorem!r}; known: {', '.join(THEOREM_IDS)}")
+    if cfg["points"] < 1:
+        raise UsageError(f"points must be >= 1, got {cfg['points']}")
     fn = build_function(cfg)
     points = random_disk_points(cfg["points"], seed=cfg["seed"] + 1,
                                 radius=min(0.9, fn.radius_limit))
@@ -328,8 +328,8 @@ def cmd_sweep(cfg: dict) -> int:
     for alpha in alphas:
         fn = RobertsonExtremal(alpha)
         c = alpha.cos
-        pre = weighted_sup(pre_schwarzian_evaluator(fn), 1, plan, r_limit=fn.radius_limit)
-        sch = weighted_sup(schwarzian_evaluator(fn), 2, plan, r_limit=fn.radius_limit)
+        pre = weighted_norm(fn, 1, plan)
+        sch = weighted_norm(fn, 2, plan)
         rows.append({
             "alpha": alpha.value,
             "pre_bound": 2.0 * c,
@@ -352,7 +352,7 @@ def cmd_sweep(cfg: dict) -> int:
 
 def cmd_sample(cfg: dict) -> int:
     alpha = _alpha(cfg)
-    member = random_member(alpha, cfg["seed"], cfg["degree"], cfg["zero_f2"])
+    member = _random_member(cfg, alpha)
     plan = _plan(cfg)
     margin = robertson_margin(member, alpha, plan)
     prov = member.provenance

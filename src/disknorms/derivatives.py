@@ -4,11 +4,18 @@ Two independent computation paths on purpose: pointwise values come from
 the derivative stack via f'''/f' - (3/2)(f''/f')^2, series values from
 P' - P^2/2 with P = f''/f' formed by series division.  The two routes act
 as mutual oracles in the test suite.
+
+_field is the one place that picks, by function kind, how f''/f' and the
+Schwarzian are evaluated.  Every scan of them goes through weighted_norm
+(the weighted norms) or pre_schwarzian_inf_re (the infimum of a real-part
+functional of f''/f').
 """
 
 from __future__ import annotations
 
 from .catalog import Alpha, AnalyticFn, DerivStack, SeriesFn
+from .disksup import (MarginReport, NormEstimate, SamplingPlan, ring_points, weighted_inf_re,
+                      weighted_sup)
 from .series import TaylorSeries
 
 
@@ -35,8 +42,11 @@ def schwarzian_at(f: AnalyticFn, z: complex) -> complex:
 
 
 def schwarzian_extremal_closed(alpha: Alpha, z: complex) -> complex:
-    """Closed-form Schwarzian of the sharpness family:
+    """Closed-form Schwarzian of RobertsonExtremal(alpha):
     2 cos(alpha) (1 + (1 - cos alpha) z^2) / (1 - z^2)^2.
+
+    For alpha != 0 that function is not a class member (see its docstring),
+    so this formula does not show a Schwarzian bound for the class sharp.
     """
     z = complex(z)
     if abs(z) >= 1.0:
@@ -56,38 +66,42 @@ def schwarzian_series(f: SeriesFn) -> TaylorSeries:
     return f.schwarzian_series
 
 
-def pre_schwarzian_evaluator(f: AnalyticFn):
-    """Point evaluator of f''/f'; series-backed functions use their cached
-    quotient series (one Horner pass per point)."""
-    if isinstance(f, SeriesFn):
-        return pre_schwarzian_series(f).eval
+def _field(f: AnalyticFn, k: int):
+    """(point, ring) evaluators of f''/f' (k = 1) or of the Schwarzian (k = 2).
 
-    def ev(z: complex) -> complex:
-        return pre_schwarzian_at(f, z)
-    return ev
+    A series-backed f gives its cached quotient series' eval (one Horner pass
+    per point) and eval_ring (one folded DFT per grid ring); a closed form
+    gives the derivative-stack formula and no ring evaluator."""
+    if isinstance(f, SeriesFn):
+        s = pre_schwarzian_series(f) if k == 1 else schwarzian_series(f)
+        return s.eval, s.eval_ring
+    at = pre_schwarzian_at if k == 1 else schwarzian_at
+    return (lambda z: at(f, z)), None
+
+
+def pre_schwarzian_evaluator(f: AnalyticFn):
+    """Point evaluator of f''/f'."""
+    return _field(f, 1)[0]
 
 
 def schwarzian_evaluator(f: AnalyticFn):
-    """Point evaluator of the Schwarzian; series-backed via cached series."""
-    if isinstance(f, SeriesFn):
-        return schwarzian_series(f).eval
-
-    def ev(z: complex) -> complex:
-        return schwarzian_at(f, z)
-    return ev
+    """Point evaluator of the Schwarzian."""
+    return _field(f, 2)[0]
 
 
-def pre_schwarzian_ring(f: AnalyticFn):
-    """Ring evaluator of f''/f' (TaylorSeries.eval_ring of the cached quotient
-    series) for series-backed functions; None for closed forms."""
-    if isinstance(f, SeriesFn):
-        return pre_schwarzian_series(f).eval_ring
-    return None
+def weighted_norm(f: AnalyticFn, k: int, plan: SamplingPlan) -> NormEstimate:
+    """Estimate of the pre-Schwarzian (k = 1) or Schwarzian (k = 2) norm of f,
+    sup of (1 - |z|^2)^k times the field's modulus, from below."""
+    point, ring = _field(f, k)
+    return weighted_sup(point, k, plan, r_limit=f.radius_limit, ring=ring)
 
 
-def schwarzian_ring(f: AnalyticFn):
-    """Ring evaluator of the Schwarzian for series-backed functions; None for
-    closed forms."""
-    if isinstance(f, SeriesFn):
-        return schwarzian_series(f).eval_ring
-    return None
+def pre_schwarzian_inf_re(f: AnalyticFn, post, plan: SamplingPlan,
+                          r_limit: float) -> MarginReport:
+    """Sampled infimum over |z| < r_limit of Re post(z, u), u = f''(z)/f'(z)."""
+    point, series_ring = _field(f, 1)
+    ring = None
+    if series_ring is not None:
+        def ring(r: float, m: int) -> list[complex]:
+            return list(map(post, ring_points(r, m), series_ring(r, m)))
+    return weighted_inf_re(lambda z: post(z, point(z)), plan, r_limit=r_limit, ring=ring)

@@ -10,12 +10,11 @@ estimates are certified lower bounds and inf estimates certified upper
 bounds of the true extrema.
 
 Every scan scores its grid one ring at a time: ``ring(r, m)`` returns the
-values at the m grid points of one ring (ring_points), from one folded DFT
-for a series-backed function (TaylorSeries.eval_ring), or from the
-pointwise evaluator when a scan is given ``ring=None``.  The grid phase
-keeps the first best cell in scan order and re-scores it pointwise, so the
-reported value is still one that the evaluator returned at the witness.
-Refinement and march always sample pointwise.
+values at the m grid points of one ring (ring_points); a scan given no ring
+evaluator maps its pointwise evaluator over them.  The grid phase keeps the
+first best cell in scan order and re-scores it pointwise, so the reported
+value is still one that the evaluator returned at the witness.  Refinement
+and march always sample pointwise.
 
 The weight (1 - r^2) is always computed as (1 - r)(1 + r) from the grid
 radius, which stays exact to one ulp arbitrarily close to the boundary.

@@ -15,8 +15,8 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 from .catalog import Alpha, AnalyticFn, second_deriv_origin
-from .derivatives import pre_schwarzian_evaluator, pre_schwarzian_ring
-from .disksup import MarginReport, SamplingPlan, ring_points, weighted_inf_re
+from .derivatives import pre_schwarzian_evaluator, pre_schwarzian_inf_re
+from .disksup import MarginReport, SamplingPlan, weighted_inf_re
 from .errors import PhiPoleEncountered, ZeroValueEncountered
 
 TOL_MEMBERSHIP = 1e-6
@@ -25,30 +25,13 @@ ZERO_VALUE_EPS = 1e-14
 
 
 def robertson_functional(f: AnalyticFn, alpha: Alpha) -> Callable[[complex], complex]:
-    """Evaluator of e^{i alpha}(1 + z f''/f').
-
-    Series-backed functions go through their cached f''/f' quotient series
-    (one Horner pass per point); closed forms use the derivative stack.
-    """
+    """Evaluator of e^{i alpha}(1 + z f''/f')."""
     phase = alpha.phase
     pre = pre_schwarzian_evaluator(f)
 
     def h(z: complex) -> complex:
         return phase * (1.0 + z * pre(z))
     return h
-
-
-def _functional_ring(f: AnalyticFn, alpha: Alpha):
-    """Ring evaluator of e^{i alpha}(1 + z f''/f') for series-backed f, from
-    ring values of the quotient series; None for closed forms."""
-    pre_ring = pre_schwarzian_ring(f)
-    if pre_ring is None:
-        return None
-    phase = alpha.phase
-
-    def ring(r: float, m: int) -> list[complex]:
-        return [phase * (1.0 + z * u) for z, u in zip(ring_points(r, m), pre_ring(r, m))]
-    return ring
 
 
 def robertson_margin(f: AnalyticFn, alpha: Alpha, plan: SamplingPlan,
@@ -61,8 +44,8 @@ def robertson_margin(f: AnalyticFn, alpha: Alpha, plan: SamplingPlan,
     """
     if not f.is_normalized:
         raise ValueError(f"{f.name}: membership test needs a normalized function")
-    return weighted_inf_re(robertson_functional(f, alpha), plan, r_limit=f.radius_limit,
-                           ring=_functional_ring(f, alpha))
+    phase = alpha.phase
+    return pre_schwarzian_inf_re(f, lambda z, u: phase * (1.0 + z * u), plan, f.radius_limit)
 
 
 def is_certified_member(report: MarginReport, tol: float = TOL_MEMBERSHIP) -> bool:
@@ -152,7 +135,6 @@ def characterization_residuals(f: AnalyticFn, alpha: Alpha,
 
     Membership predicts both >= 0.  The e^{i alpha} factor in res_iii is
     required for the alpha = 0 reduction to the convex-class disk condition.
-    f''/f' of series-backed functions comes from their quotient series.
     """
     z = complex(z)
     if abs(z) >= 1.0:

@@ -16,10 +16,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .catalog import Alpha, AnalyticFn, SeriesFn
-from .derivatives import (pre_schwarzian_evaluator, pre_schwarzian_ring,
-                          schwarzian_evaluator, schwarzian_ring)
-from .disksup import (MarginReport, SamplingPlan, ring_points, weighted_inf_re,
-                      weighted_sup)
+from .derivatives import pre_schwarzian_inf_re, weighted_norm
+from .disksup import MarginReport, SamplingPlan
 from .quadrature import quadrature, quadrature_complex
 from .robertson import (characterization_residuals_of, is_certified_member,
                         robertson_margin)
@@ -124,22 +122,12 @@ def verify_T41(f: AnalyticFn, alpha: Alpha, plan: SamplingPlan,
         return refusal
 
     ceiling = min(f.radius_limit, RESIDUAL_SCAN_CEILING)
-    pre = pre_schwarzian_evaluator(f)
-    pre_ring = pre_schwarzian_ring(f)
 
     def residual(i: int):
-        def h(z: complex) -> complex:
-            return complex(characterization_residuals_of(alpha, z, pre(z))[i], 0.0)
-        return h
+        return lambda z, u: complex(characterization_residuals_of(alpha, z, u)[i], 0.0)
 
-    def residual_ring(i: int):
-        def ring(r: float, m: int) -> list[complex]:
-            return [complex(characterization_residuals_of(alpha, z, u)[i], 0.0)
-                    for z, u in zip(ring_points(r, m), pre_ring(r, m))]
-        return None if pre_ring is None else ring
-
-    inf_ii = weighted_inf_re(residual(0), plan, r_limit=ceiling, ring=residual_ring(0))
-    inf_iii = weighted_inf_re(residual(1), plan, r_limit=ceiling, ring=residual_ring(1))
+    inf_ii = pre_schwarzian_inf_re(f, residual(0), plan, ceiling)
+    inf_iii = pre_schwarzian_inf_re(f, residual(1), plan, ceiling)
     worst = min(inf_ii.inf_value, inf_iii.inf_value)
     witness = inf_ii.witness if inf_ii.inf_value <= inf_iii.inf_value else inf_iii.witness
     status = PASS if worst >= -tol else FAIL
@@ -213,11 +201,10 @@ def verify_T42_growth(f: AnalyticFn, alpha: Alpha, points: Sequence[complex],
 
 
 def _norm_bound_report(theorem_id: str, f: AnalyticFn, alpha: Alpha,
-                       plan: SamplingPlan, evaluator: Callable, ring: Optional[Callable],
-                       k: int, bound: float, tol: float,
+                       plan: SamplingPlan, k: int, bound: float, tol: float,
                        extra_precondition: Optional[str]) -> TheoremReport:
     """Shared body of the norm-bound verifiers; always computes the estimate."""
-    est = weighted_sup(evaluator, k, plan, r_limit=f.radius_limit, ring=ring)
+    est = weighted_norm(f, k, plan)
     side = f"norm estimate {est.value:.8g} vs bound {bound:.8g} (tolerance {tol:g})"
     if extra_precondition is not None:
         return TheoremReport(theorem_id, PRECONDITION_UNMET, 0.0, est.witness,
@@ -237,9 +224,8 @@ def verify_T43(f: AnalyticFn, alpha: Alpha, plan: SamplingPlan,
                tol: float = BOUND_TOL, workers: int = 1) -> TheoremReport:
     """Pre-Schwarzian norm <= 2 cos alpha for members with f''(0) = 0.
     ``workers`` is ignored: scans run serially."""
-    return _norm_bound_report("T43", f, alpha, plan, pre_schwarzian_evaluator(f),
-                              pre_schwarzian_ring(f), 1,
-                              2.0 * alpha.cos, tol, _f2_zero_gate(f, _HYPOTHESIS_NOT_MET))
+    return _norm_bound_report("T43", f, alpha, plan, 1, 2.0 * alpha.cos, tol,
+                              _f2_zero_gate(f, _HYPOTHESIS_NOT_MET))
 
 
 def verify_T44(f: AnalyticFn, alpha: Alpha, plan: SamplingPlan,
@@ -255,9 +241,8 @@ def verify_T44(f: AnalyticFn, alpha: Alpha, plan: SamplingPlan,
     ``workers`` is ignored: scans run serially.
     """
     c = alpha.cos
-    return _norm_bound_report("T44", f, alpha, plan, schwarzian_evaluator(f),
-                              schwarzian_ring(f), 2,
-                              2.0 * c * (2.0 - c), tol, _f2_zero_gate(f, _HYPOTHESIS_NOT_MET))
+    return _norm_bound_report("T44", f, alpha, plan, 2, 2.0 * c * (2.0 - c), tol,
+                              _f2_zero_gate(f, _HYPOTHESIS_NOT_MET))
 
 
 def t45_bound(alpha: Alpha, gamma: float) -> float:
@@ -293,9 +278,7 @@ def verify_T45(f: AnalyticFn, alpha: Alpha, plan: SamplingPlan,
         return TheoremReport(
             "T45", PRECONDITION_UNMET, 0.0, None,
             f"gamma = {gamma:.6g} >= 1: bound undefined (and membership impossible)")
-    return _norm_bound_report("T45", f, alpha, plan, schwarzian_evaluator(f),
-                              schwarzian_ring(f), 2,
-                              t45_bound(alpha, gamma), tol, None)
+    return _norm_bound_report("T45", f, alpha, plan, 2, t45_bound(alpha, gamma), tol, None)
 
 
 def lemma_schur_check(phi: Callable[[complex], complex], phi0_abs: float,

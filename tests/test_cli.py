@@ -123,6 +123,28 @@ def test_bad_flag_is_usage_error(tmp_path):
     assert main(["norm", "--no-such-flag"]) == USAGE
 
 
+@pytest.mark.parametrize("args", [["norm", "--fn", "random", "--degree", "5"],
+                                  ["sample", "--degree", "0"]])
+def test_degree_out_of_range_is_usage_error(args, tmp_path, capsys):
+    code, _ = run(args, tmp_path)
+    assert code == USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "usage error" in err and "degree" in err
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "T42d", "--fn", "random", "--zero-f2", "--points", "0"],
+    ["verify", "LemA", "--points", "-2"]])
+def test_points_below_one_is_usage_error(args, tmp_path, capsys):
+    code, text = run(args, tmp_path)
+    assert code == USAGE and text == ""
+    assert "usage error: points must be >= 1" in capsys.readouterr().err
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"points": 0}))
+    code, _ = run(["verify", "LemA", "--config", str(path)], tmp_path)
+    assert code == USAGE
+
+
 def test_sweep_rows(tmp_path):
     code, text = run(["sweep", "--alphas", "0,1.0471975511965976"], tmp_path,
                      name="sweep.csv")

@@ -8,10 +8,11 @@ import pytest
 from disknorms import (Alpha, HalfPlane, Koebe, RobertsonExtremal, SamplingPlan,
                        SpiralPower, radial_profile, random_disk_points, random_member,
                        robertson_margin, weighted_inf_re, weighted_sup)
-from disknorms.derivatives import (pre_schwarzian_evaluator, pre_schwarzian_ring,
-                                   schwarzian_evaluator, schwarzian_ring)
+from disknorms.derivatives import (_field, pre_schwarzian_evaluator, schwarzian_evaluator,
+                                   weighted_norm)
 from disknorms.disksup import _point, ring_points, weight_factor
 from disknorms.robertson import robertson_functional
+from disknorms.theorems import verify_T41, verify_T43, verify_T44, verify_T45
 
 PLAN = SamplingPlan()
 
@@ -183,11 +184,12 @@ def test_ring_grid_phase_matches_pointwise_scan(aval, seed, degree, zero_f2):
     """A ring only changes how the grid is evaluated, not the estimate."""
     a = Alpha(aval)
     m = random_member(a, seed=seed, degree=degree, zero_second_deriv=zero_f2)
-    for ev, ring, k in ((pre_schwarzian_evaluator(m), pre_schwarzian_ring(m), 1),
-                        (schwarzian_evaluator(m), schwarzian_ring(m), 2)):
-        assert (weighted_sup(ev, k, PLAN, r_limit=m.radius_limit, ring=ring)
-                == weighted_sup(ev, k, PLAN, r_limit=m.radius_limit))
-    # robertson_margin passes a ring of the same functional
+    for k in (1, 2):
+        ev, ring = _field(m, k)
+        pointwise = weighted_sup(ev, k, PLAN, r_limit=m.radius_limit)
+        assert weighted_sup(ev, k, PLAN, r_limit=m.radius_limit, ring=ring) == pointwise
+        assert weighted_norm(m, k, PLAN) == pointwise
+    # robertson_margin scans the same functional by rings
     assert (robertson_margin(m, a, PLAN)
             == weighted_inf_re(robertson_functional(m, a), PLAN, r_limit=m.radius_limit))
 
@@ -200,10 +202,11 @@ def test_ring_scan_samples_pointwise_only_off_the_grid():
     def g(z):
         calls.append(z)
         return ev(z)
-    weighted_sup(g, 1, PLAN, r_limit=m.radius_limit, ring=pre_schwarzian_ring(m))
+    ring = _field(m, 1)[1]
+    weighted_sup(g, 1, PLAN, r_limit=m.radius_limit, ring=ring)
     assert 0 < len(calls) < 1000
     calls.clear()
-    rep = weighted_inf_re(g, PLAN, r_limit=m.radius_limit, ring=pre_schwarzian_ring(m))
+    rep = weighted_inf_re(g, PLAN, r_limit=m.radius_limit, ring=ring)
     assert 0 < len(calls) < 1000
     assert rep.samples >= PLAN.radial_count * PLAN.angular_count
 
@@ -243,6 +246,37 @@ def test_closed_form_estimates_pinned():
     rep = robertson_margin(SpiralPower(a), a, PLAN)
     assert (rep.inf_value.hex(), rep.witness_r.hex(), rep.witness_theta.hex(), rep.samples) == (
         "0x1.d030000000000p-42", "0x1.fffffffffdcd1p-1", "0x1.93b1d4f987145p+1", 8352)
+
+
+# float.hex of the margin's (inf_value, witness_r), of the T43/T44/T45
+# estimates, and T41's details, at the default plan, for two series-backed
+# members, whose scans score their grid rings through the quotient series
+PINNED_MEMBER_SCANS = {
+    (0.5, 7, 3, False): (
+        ("0x1.9f034377e92f0p-5", "0x1.e666666666666p-1"),
+        ("0x1.94b22e068dc1bp+0", "0x1.160c8ec77fc57p+1", "0x1.160c8ec77fc57p+1"),
+        "residual minima: ii = 0.0288221, iii = 0.00281241; tolerance 1e-06; sampled "
+        "membership margin 0.0506607 at z = (0.8294402294973755+0.46317265214101416j)"),
+    (-0.9, 4, 2, True): (
+        ("0x1.69c65d111bfd0p-5", "0x1.e666666666666p-1"),
+        ("0x1.892a54771402cp-1", "0x1.6975b3d15e363p+0", "0x1.6975b3d15e363p+0"),
+        "residual minima: ii = 0.0296741, iii = 0.0028966; tolerance 1e-06; sampled "
+        "membership margin 0.044162 at z = (0.6840023825633126+0.6592728878451712j)"),
+}
+
+
+def test_series_backed_scans_pinned():
+    got = {}
+    for key in PINNED_MEMBER_SCANS:
+        aval, seed, degree, zero_f2 = key
+        a = Alpha(aval)
+        m = random_member(a, seed, degree, zero_second_deriv=zero_f2)
+        rep = robertson_margin(m, a, PLAN)
+        estimates = tuple(verify(m, a, PLAN).estimate.hex()
+                          for verify in (verify_T43, verify_T44, verify_T45))
+        got[key] = ((rep.inf_value.hex(), rep.witness_r.hex()), estimates,
+                    verify_T41(m, a, PLAN).details)
+    assert got == PINNED_MEMBER_SCANS
 
 
 def test_grid_ties_go_to_the_first_cell_in_scan_order():
