@@ -373,8 +373,8 @@ class SeriesFn(AnalyticFn):
     """Analytic function backed by a truncated Taylor series of f itself.
 
     The first three derivative series are materialized eagerly (termwise
-    differentiation, exact to truncation); the pre-Schwarzian and Schwarzian
-    series are built on first use and cached.
+    differentiation, exact to truncation); the fourth-derivative,
+    pre-Schwarzian and Schwarzian series are built on first use and cached.
     """
 
     def __init__(self, series: TaylorSeries, require_normalized: bool = True,
@@ -414,10 +414,15 @@ class SeriesFn(AnalyticFn):
 
     def fourth_derivative(self, z):
         z = self._check_radius(z)
-        return self._d3.diff().eval(z)
+        return self._d4.eval(z)
 
     def derivative_series(self) -> tuple[TaylorSeries, TaylorSeries, TaylorSeries]:
         return self._d1, self._d2, self._d3
+
+    @cached_property
+    def _d4(self) -> TaylorSeries:
+        """Series of the fourth derivative, for fourth_derivative."""
+        return self._d3.diff()
 
     @cached_property
     def pre_schwarzian_series(self) -> TaylorSeries:

@@ -191,6 +191,19 @@ DEFAULTS = {
 }
 
 
+# JSON types a config value may take, by the type of its DEFAULTS entry: an
+# integer stands for a number, a boolean never for an integer
+_CONFIG_TYPES = {float: (float, int), type(None): (str, type(None))}
+_CONFIG_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "a boolean",
+                 type(None): "a string or null"}
+
+
+def _check_config_type(key: str, val) -> None:
+    want = type(DEFAULTS[key])
+    if type(val) not in _CONFIG_TYPES.get(want, (want,)):
+        raise UsageError(f"config key {key!r} must be {_CONFIG_NAMES[want]}, got {val!r}")
+
+
 def resolve_config(args: argparse.Namespace) -> dict:
     """Defaults < config file < explicit flags."""
     cfg = dict(DEFAULTS)
@@ -201,9 +214,13 @@ def resolve_config(args: argparse.Namespace) -> dict:
                 file_cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read config file {path}: {exc}")
+        if not isinstance(file_cfg, dict):
+            raise UsageError(f"config file {path} must hold a JSON object")
         unknown = set(file_cfg) - set(DEFAULTS)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        for key, val in file_cfg.items():
+            _check_config_type(key, val)
         cfg.update(file_cfg)
     for key in DEFAULTS:
         val = getattr(args, key, None)

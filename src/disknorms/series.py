@@ -8,6 +8,14 @@ singularities, so the truncated polynomial is only trusted well inside).
 All operations are pure and return new series; results of binary
 operations are truncated to the smaller of the two orders, which keeps
 every coefficient exact up to floating-point rounding.
+
+Products and quotients stop their inner loops at an operand's last nonzero
+coefficient (the divisor's, for a quotient), so a polynomial factor of
+degree d costs O(dN) instead of O(N^2).  The skipped terms are exact zeros
+and the summation order is kept, so every coefficient is bit for bit the
+dense loop's: a sum that starts at +0j never becomes -0.0, and a dividend
+coefficient with a -0.0 part, whose sign subtracting a zero can flip, takes
+the dense loop.
 """
 
 from __future__ import annotations
@@ -33,6 +41,20 @@ def _check_finite(values: Iterable[complex], what: str = "coefficient") -> None:
     for c in values:
         if not (math.isfinite(c.real) and math.isfinite(c.imag)):
             raise NonFiniteValue(f"non-finite {what} {c!r}")
+
+
+def _degree(coeffs: Sequence[complex]) -> int:
+    """Index of the last nonzero coefficient (0 for the zero series)."""
+    k = len(coeffs) - 1
+    while k and not coeffs[k]:
+        k -= 1
+    return k
+
+
+def _negative_zero(c: complex) -> bool:
+    """Whether a part of c is -0.0, which subtracting a zero can turn into +0.0."""
+    return ((not c.real and math.copysign(1.0, c.real) < 0.0)
+            or (not c.imag and math.copysign(1.0, c.imag) < 0.0))
 
 
 def _root(k: int, n: int) -> complex:
@@ -163,13 +185,14 @@ class TaylorSeries:
     def __mul__(self, other: "TaylorSeries") -> "TaylorSeries":
         n, g = self._common(other)
         a, b = self.coeffs, other.coeffs
+        da, db = _degree(a), _degree(b)
         out = []
-        for k in range(n + 1):
+        for k in range(min(n, da + db) + 1):
             s = 0j
-            for j in range(k + 1):
+            for j in range(max(0, k - db), min(k, da) + 1):
                 s += a[j] * b[k - j]
             out.append(s)
-        return TaylorSeries(out, g)
+        return TaylorSeries(out + [0j] * (n + 1 - len(out)), g)
 
     def __truediv__(self, other: "TaylorSeries") -> "TaylorSeries":
         n, g = self._common(other)
@@ -178,10 +201,14 @@ class TaylorSeries:
             raise DivisionBySingularSeries(
                 f"divisor constant term {b0!r} below {SINGULAR_EPS}")
         a, b = self.coeffs, other.coeffs
+        db = _degree(b)
         out: list[complex] = []
         for k in range(n + 1):
             s = a[k]
-            for j in range(k):
+            lo = max(0, k - db)
+            if lo and _negative_zero(s):
+                lo = 0
+            for j in range(lo, k):
                 s -= out[j] * b[k - j]
             out.append(s / b0)
         return TaylorSeries(out, g)

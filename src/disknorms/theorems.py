@@ -93,17 +93,23 @@ def _f2_zero_gate(f: AnalyticFn, consequence: str) -> Optional[str]:
     return f"|f''(0)| = {f2:.6g} != 0: {consequence}"
 
 
+def _scan_once(f: AnalyticFn, key: tuple, scan: Callable[[], object]):
+    """scan(), run once per key on f.  The memo sits in the instance dict of
+    the immutable f, so it lives as long as f; margins are keyed by
+    (alpha, plan) and weighted_norm estimates by (k, plan)."""
+    memo = vars(f).setdefault("_scans", {})
+    if key not in memo:
+        memo[key] = scan()
+    return memo[key]
+
+
 def _membership_gate(theorem_id: str, f: AnalyticFn, alpha: Alpha, plan: SamplingPlan,
                      note: str = "", side: str = "", estimate: Optional[float] = None,
                      bound: Optional[float] = None
                      ) -> tuple[MarginReport, Optional[TheoremReport]]:
     """The membership margin of f, and the precondition_unmet report that
-    refuses f when the margin does not certify it (None when it does).
-    The margin is kept on the immutable f, one per (alpha, plan)."""
-    margins = vars(f).setdefault("_margins", {})
-    margin = margins.get((alpha, plan))
-    if margin is None:
-        margin = margins[alpha, plan] = robertson_margin(f, alpha, plan)
+    refuses f when the margin does not certify it (None when it does)."""
+    margin = _scan_once(f, (alpha, plan), lambda: robertson_margin(f, alpha, plan))
     if is_certified_member(margin):
         return margin, None
     return margin, TheoremReport(
@@ -204,7 +210,7 @@ def _norm_bound_report(theorem_id: str, f: AnalyticFn, alpha: Alpha,
                        plan: SamplingPlan, k: int, bound: float, tol: float,
                        extra_precondition: Optional[str]) -> TheoremReport:
     """Shared body of the norm-bound verifiers; always computes the estimate."""
-    est = weighted_norm(f, k, plan)
+    est = _scan_once(f, (k, plan), lambda: weighted_norm(f, k, plan))
     side = f"norm estimate {est.value:.8g} vs bound {bound:.8g} (tolerance {tol:g})"
     if extra_precondition is not None:
         return TheoremReport(theorem_id, PRECONDITION_UNMET, 0.0, est.witness,

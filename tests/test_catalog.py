@@ -79,6 +79,23 @@ def test_fourth_derivative_oracle(fn):
         assert abs(fd4 - f4) <= 1e-4 * max(1.0, abs(f4))
 
 
+def test_series_fourth_derivative_series_built_once():
+    """fourth_derivative evaluates one cached series, bit for bit the
+    rebuilt d3.diff(), and the spirallike margin of z f' is unchanged
+    (float.hex taken while each call rebuilt the series)."""
+    from disknorms import SamplingPlan, spirallike_margin
+    from disknorms.catalog import ZTimesDerivative
+    m = random_member(Alpha(0.4), 3, 2, True)
+    for z in random_disk_points(25, seed=19, radius=0.95):
+        f4, ref = m.fourth_derivative(z), m._d3.diff().eval(z)
+        assert (f4.real.hex(), f4.imag.hex()) == (ref.real.hex(), ref.imag.hex())
+    assert m._d4 is m._d4
+    rep = spirallike_margin(ZTimesDerivative(m), Alpha(0.4),
+                            SamplingPlan(radial_count=16, angular_count=32))
+    assert (rep.inf_value.hex(), rep.witness_r.hex(), rep.witness_theta.hex(), rep.samples) == (
+        "0x1.10cb02713f471p-4", "0x1.e666666666666p-1", "0x1.02655ffa5cefap+2", 752)
+
+
 def test_extremal_alpha0_matches_artanh():
     """f_0(z) = (1/2) log((1+z)/(1-z)); the quadrature value must agree."""
     fn = RobertsonExtremal(Alpha(0.0))

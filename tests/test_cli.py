@@ -220,6 +220,32 @@ def test_config_file_unknown_key_rejected(tmp_path):
     assert code == USAGE
 
 
+@pytest.mark.parametrize("cfg", [{"points": "5"}, {"degree": "2"}, {"seed": "x"},
+                                 {"points": True}, {"alpha": None}])
+def test_config_value_of_wrong_type_is_usage_error(cfg, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, text = run(["verify", "LemA", "--fn", "random", "--config", str(path)], tmp_path)
+    assert code == USAGE and text == ""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"config key {next(iter(cfg))!r}" in err
+
+
+def test_config_file_not_an_object_is_usage_error(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text("5")
+    code, _ = run(["norm", "--config", str(path)], tmp_path)
+    assert code == USAGE
+
+
+def test_config_integer_accepted_for_number(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"fn": "koebe", "alpha": 0, "r_cap": 1, "out": None}))
+    code, doc = run_json(["norm", "--which", "pre", "--r-cap", "0.99", "--config", str(path)],
+                         tmp_path)
+    assert code == OK and doc["config"]["alpha"] == 0
+
+
 def test_deg_flag_converts(tmp_path):
     code, doc = run_json(["norm", "--fn", "robertson-extremal", "--alpha", "60",
                           "--deg", "--which", "pre"], tmp_path)

@@ -1,6 +1,7 @@
 """Series arithmetic: spec examples plus algebraic round-trip properties."""
 
 import cmath
+import hashlib
 import math
 
 import pytest
@@ -187,6 +188,89 @@ def test_functional_aliases_match_methods():
     assert dn.series_log(a).coeffs == a.log().coeffs
     assert dn.series_pow(a, 0.5 - 1j).coeffs == a.pow(0.5 - 1j).coeffs
     assert dn.series_eval(a, 0.3 + 0.1j) == a.eval(0.3 + 0.1j)
+
+
+# -- sparse kernels against the textbook loops --------------------------------
+
+def _dense_mul(a, b):
+    """The textbook O(N^2) product loop, every j in 0..k."""
+    n = min(a.order, b.order)
+    out = []
+    for k in range(n + 1):
+        s = 0j
+        for j in range(k + 1):
+            s += a.coeffs[j] * b.coeffs[k - j]
+        out.append(s)
+    return out
+
+
+def _dense_div(a, b):
+    """The textbook O(N^2) quotient recursion, every j in 0..k-1."""
+    n = min(a.order, b.order)
+    out = []
+    for k in range(n + 1):
+        s = a.coeffs[k]
+        for j in range(k):
+            s -= out[j] * b.coeffs[k - j]
+        out.append(s / b.coeffs[0])
+    return out
+
+
+def _hex(coeffs):
+    return [(c.real.hex(), c.imag.hex()) for c in coeffs]
+
+
+_SPARSE = [poly(c, order=24) for c in (
+    [0.7 - 0.2j], [1.0, -0.55 + 0.3j], [0.9j, 0.25, -0.4 + 0.1j],
+    [1.0 - 0.5j, 0.3, 0.0, -0.2 + 0.6j])]
+_DENSE = [TaylorSeries([complex(math.cos(3 * k + i), math.sin(5 * k - i)) / (k + 1)
+                        for k in range(25)]) for i in (1, 2)]
+# -0.0 parts in both operands, inside and past the last nonzero coefficient
+_SIGNED = [poly([complex(-0.0, 0.5), complex(-1.0, -0.0)] + [complex(-0.0, -0.0)] * 4,
+                order=24),
+           TaylorSeries([complex(-0.5, 0.5)] + [complex(-0.0, -0.0)] * 6
+                        + [complex(0.25, -0.0)] + [complex(-0.0, 0.0)] * 17)]
+
+
+def test_sparse_kernels_match_dense_loops_bit_for_bit():
+    """Skipping the products past an operand's last nonzero coefficient
+    changes no bit, signed zeros included."""
+    operands = _SPARSE + _DENSE + _SIGNED
+    for i, a in enumerate(operands):
+        for j, b in enumerate(operands):
+            assert _hex((a * b).coeffs) == _hex(_dense_mul(a, b)), (i, j)
+            assert _hex((a / b).coeffs) == _hex(_dense_div(a, b)), (i, j)
+
+
+def test_sparse_division_keeps_negative_zero_of_the_dividend():
+    """Subtracting a zero product can turn a -0.0 part of the dividend into
+    +0.0, so the products the sparse loop would skip still decide the sign;
+    the quotient keeps the dense loop's."""
+    a = TaylorSeries([complex(-0.0, -0.0)] * 9)
+    b = poly([1.0, 0.5], order=8)
+    quotient = (a / b).coeffs
+    assert _hex(quotient) == _hex(_dense_div(a, b))
+    # subtracting the skipped product out[0] * b[2] = (-0, +0) turns the real
+    # part of a[2] = (-0, -0) into +0
+    assert _hex(quotient[2:3]) == [("0x0.0p+0", "-0x0.0p+0")]
+
+
+# float.hex of every coefficient of f, one "re im" line each, hashed; taken
+# before the sparse kernels existed
+MEMBER_COEFF_SHA256 = {
+    (0.5, 3, 3, True): "19e8b3462f26160f951f92a026a949fa354cdc9ebe61f803db56f7f4a921db09",
+    (-1.1, 7, 1, False): "7db69e7d2cb050299710101d2c918059e7d428a20c01357440970b7a07264641",
+    (0.0, 11, 2, True): "5a57a5ae0376d78a348f8a603a48b3961aca67443eb538c7fd3d3f634c1a39aa",
+    (-0.4, 25, 3, False): "6846cb8921ede0c2826fdb1b30718f9cbb293b1f313064d224e8602cd65d130f",
+}
+
+
+@pytest.mark.parametrize("aval,seed,degree,zero_f2", sorted(MEMBER_COEFF_SHA256))
+def test_random_member_coefficients_pinned(aval, seed, degree, zero_f2):
+    m = random_member(Alpha(aval), seed, degree, zero_f2)
+    text = "\n".join(f"{c.real.hex()} {c.imag.hex()}" for c in m.series.coeffs)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == MEMBER_COEFF_SHA256[aval, seed, degree, zero_f2]
 
 
 # -- hypothesis properties --------------------------------------------------

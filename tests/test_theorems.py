@@ -20,6 +20,7 @@ from disknorms import (Alpha, HalfPlane, Koebe, RobertsonExtremal,
                        robertson_margin, t45_bound, verify_T41,
                        verify_T42_distortion, verify_T42_growth, verify_T43,
                        verify_T44, verify_T45)
+from disknorms.derivatives import weighted_norm
 from disknorms.errors import MaxSubdivisions
 
 PLAN = SamplingPlan()
@@ -378,6 +379,27 @@ def test_margin_computed_once_per_member_alpha_and_plan(monkeypatch):
     assert calls == [(id(m), a, PLAN), (id(m), a, coarse)]
     # a report from a shared margin is the one a fresh margin gives
     assert shared == [verify(random_member(a, seed=2, degree=2, zero_second_deriv=True), a, plan)
+                      for verify, plan in runs]
+
+
+def test_norm_estimate_computed_once_per_member_order_and_plan(monkeypatch):
+    """T44 and T45 share one Schwarzian scan per (f, plan); T43 scans f''/f'."""
+    from disknorms import theorems
+    calls = []
+
+    def counted(f, k, plan):
+        calls.append((id(f), k, plan))
+        return weighted_norm(f, k, plan)
+    monkeypatch.setattr(theorems, "weighted_norm", counted)
+    a = Alpha(-0.6)
+    coarse = SamplingPlan(radial_count=16, angular_count=32)
+    runs = [(verify, plan) for plan in (PLAN, coarse)
+            for verify in (verify_T43, verify_T44, verify_T45)]
+    m = random_member(a, seed=5, degree=3, zero_second_deriv=True)
+    shared = [verify(m, a, plan) for verify, plan in runs]
+    assert calls == [(id(m), k, plan) for plan in (PLAN, coarse) for k in (1, 2)]
+    # a report from a shared estimate is the one a fresh scan gives
+    assert shared == [verify(random_member(a, seed=5, degree=3, zero_second_deriv=True), a, plan)
                       for verify, plan in runs]
 
 
