@@ -63,7 +63,7 @@ class DerivStack:
 def _unimodular(zeta: complex) -> complex:
     zeta = complex(zeta)
     r = abs(zeta)
-    if abs(r - 1.0) > 1e-9:
+    if not abs(r - 1.0) <= 1e-9:  # a nan modulus fails this test too
         raise ValueError(f"zeta must be unimodular, got |zeta| = {r}")
     return zeta / r
 

@@ -3,6 +3,9 @@
 Reports are deterministic: given the same invocation (and seed), the JSON
 and CSV bytes are identical across runs.  --workers is accepted and has no
 effect: scans run serially, so reports are byte-identical for every value.
+Each command writes its own formats: norm json|csv|text, verify json|text,
+sweep csv|json, sample json; the first is the default.  --config values are
+checked against their flag's type and choices, and --zeta-arg must be finite.
 Exit codes:
 0 success/pass, 2 theorem violation, 3 precondition unmet, 64 usage error,
 65 evaluation error.
@@ -17,11 +20,11 @@ Examples:
 from __future__ import annotations
 
 import argparse
-import io
+import dataclasses
 import json
 import math
 import sys
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import __version__
 from .catalog import (Alpha, HalfPlane, Identity, Koebe, RobertsonExtremal,
@@ -46,7 +49,8 @@ _BUILDERS = {
     "koebe": lambda cfg, alpha, zeta: Koebe(),
     "robertson-extremal": lambda cfg, alpha, zeta: RobertsonExtremal(alpha, zeta),
     "spiral-power": lambda cfg, alpha, zeta: SpiralPower(alpha, zeta),
-    "random": lambda cfg, alpha, zeta: _random_member(cfg, alpha),
+    "random": lambda cfg, alpha, zeta: _checked(random_member, alpha, cfg["seed"],
+                                                cfg["degree"], cfg["zero_f2"]),
 }
 FUNCTION_TAGS = tuple(_BUILDERS)
 
@@ -69,7 +73,49 @@ _VERIFIERS = {
 }
 THEOREM_IDS = tuple(_VERIFIERS)
 
-PLAN_KEYS = ("radial_count", "angular_count", "r_cap", "refine_depth", "rel_tol")
+
+class Option(NamedTuple):
+    """One config key: its flag, type (bool for an on-switch), default and help."""
+
+    flag: str
+    type: type
+    default: object
+    help: Optional[str] = None
+    choices: Optional[tuple] = None
+    command: Optional[str] = None  # the only command with this flag; None for all
+
+
+_PLAN = SamplingPlan()
+OPTIONS = {
+    "fn": Option("--fn", str, "robertson-extremal", "function tag"),
+    "alpha": Option("--alpha", float, 0.0, "class angle (radians unless --deg)"),
+    "deg": Option("--deg", bool, False, "interpret --alpha in degrees"),
+    "zeta_arg": Option("--zeta-arg", float, 0.0,
+                       "argument of the unimodular rotation parameter"),
+    "seed": Option("--seed", int, 0),
+    "degree": Option("--degree", int, 3),
+    "zero_f2": Option("--zero-f2", bool, False, "force f''(0) = 0 in the generated member"),
+    "radial_count": Option("--radial", int, _PLAN.radial_count),
+    "angular_count": Option("--angular", int, _PLAN.angular_count),
+    "r_cap": Option("--r-cap", float, _PLAN.r_cap),
+    "refine_depth": Option("--refine-depth", int, _PLAN.refine_depth),
+    "rel_tol": Option("--rel-tol", float, _PLAN.rel_tol),
+    "points": Option("--points", int, 50, "sample count for pointwise verifiers"),
+    "workers": Option("--workers", int, 1, "has no effect"),
+    "which": Option("--which", str, "both", choices=("pre", "schwarzian", "both"),
+                    command="norm"),
+    "format": Option("--format", str, None),  # choices: the command's formats
+    "out": Option("--out", str, None, "output path (default stdout)"),
+    "alphas": Option("--alphas", str,
+                     "0,0.5235987755982988,0.7853981633974483,1.0471975511965976",
+                     "comma-separated alpha grid (radians unless --deg)", command="sweep"),
+}
+DEFAULTS = {key: opt.default for key, opt in OPTIONS.items()}
+
+# JSON types a config value may take, by its option's type: an integer stands
+# for a number, a boolean never for an integer
+_JSON_TYPES = {int: ((int,), "an integer"), float: ((float, int), "a number"),
+               str: ((str,), "a string"), bool: ((bool,), "a boolean")}
 
 
 class UsageError(Exception):
@@ -81,42 +127,25 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _complex_json(z: complex) -> dict:
-    return {"re": z.real, "im": z.imag}
+def _checked(build, *args, **kwargs):
+    """build(*args, **kwargs), with a ValueError (a rejected input) as a usage error."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc))
 
 
-def _norm_json(est) -> dict:
-    return {
-        "value": est.value,
-        "witness": _complex_json(est.witness),
-        "witness_r": est.witness_r,
-        "witness_theta": est.witness_theta,
-        "weight_exponent": est.weight_exponent,
-        "converged": est.converged,
-        "depth_used": est.depth_used,
-    }
+def _choices(key: str, command: str) -> Optional[tuple]:
+    return tuple(COMMANDS[command].formats) if key == "format" else OPTIONS[key].choices
 
 
-def _margin_json(rep) -> dict:
-    return {
-        "inf_value": rep.inf_value,
-        "witness": _complex_json(rep.witness),
-        "witness_r": rep.witness_r,
-        "witness_theta": rep.witness_theta,
-        "samples": rep.samples,
-    }
-
-
-def _report_json(rep) -> dict:
-    return {
-        "theorem_id": rep.theorem_id,
-        "status": rep.status,
-        "max_violation": rep.max_violation,
-        "witness": None if rep.witness is None else _complex_json(rep.witness),
-        "details": rep.details,
-        "estimate": rep.estimate,
-        "bound": rep.bound,
-    }
+def _json_of(value):
+    """A report dataclass as its fields, a complex value as {re, im}."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _json_of(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, complex):
+        return {"re": value.real, "im": value.imag}
+    return value
 
 
 def build_parser() -> _Parser:
@@ -124,84 +153,35 @@ def build_parser() -> _Parser:
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--version", action="version", version=f"disknorms {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
+    for command, spec in COMMANDS.items():
+        sp = sub.add_parser(command, help=spec.help)
+        if command == "verify":
+            sp.add_argument("theorem", type=str, help="one of " + ", ".join(THEOREM_IDS))
         sp.add_argument("--config", type=str, default=None,
                         help="JSON file with the same keys as the flags")
-        sp.add_argument("--fn", type=str, default=None, help="function tag")
-        sp.add_argument("--alpha", type=float, default=None,
-                        help="class angle (radians unless --deg)")
-        sp.add_argument("--deg", action="store_true", default=None,
-                        help="interpret --alpha in degrees")
-        sp.add_argument("--zeta-arg", dest="zeta_arg", type=float, default=None,
-                        help="argument of the unimodular rotation parameter")
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--degree", type=int, default=None)
-        sp.add_argument("--zero-f2", dest="zero_f2", action="store_true", default=None,
-                        help="force f''(0) = 0 in the generated member")
-        sp.add_argument("--radial", dest="radial_count", type=int, default=None)
-        sp.add_argument("--angular", dest="angular_count", type=int, default=None)
-        sp.add_argument("--r-cap", dest="r_cap", type=float, default=None)
-        sp.add_argument("--refine-depth", dest="refine_depth", type=int, default=None)
-        sp.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
-        sp.add_argument("--points", type=int, default=None,
-                        help="sample count for pointwise verifiers")
-        sp.add_argument("--workers", type=int, default=None, help="has no effect")
-        sp.add_argument("--format", dest="format", choices=("json", "csv", "text"),
-                        default=None)
-        sp.add_argument("--out", type=str, default=None, help="output path (default stdout)")
-
-    sp = sub.add_parser("norm", help="weighted pre-Schwarzian/Schwarzian norm estimates")
-    sp.add_argument("--which", choices=("pre", "schwarzian", "both"), default=None)
-    common(sp)
-
-    sp = sub.add_parser("verify", help="run one theorem verifier")
-    sp.add_argument("theorem", type=str, help="one of " + ", ".join(THEOREM_IDS))
-    common(sp)
-
-    sp = sub.add_parser("sweep", help="alpha sweep of the extremal-family norms")
-    sp.add_argument("--alphas", type=str, default=None,
-                    help="comma-separated alpha grid (radians unless --deg)")
-    common(sp)
-
-    sp = sub.add_parser("sample", help="emit a generated member and its margin")
-    common(sp)
+        for key, opt in OPTIONS.items():
+            if opt.command in (None, command):
+                kind = ({"action": "store_true"} if opt.type is bool
+                        else {"type": opt.type, "choices": _choices(key, command)})
+                sp.add_argument(opt.flag, dest=key, default=None, help=opt.help, **kind)
     return p
 
 
-DEFAULTS = {
-    "fn": "robertson-extremal",
-    "alpha": 0.0,
-    "deg": False,
-    "zeta_arg": 0.0,
-    "seed": 0,
-    "degree": 3,
-    "zero_f2": False,
-    "radial_count": 64,
-    "angular_count": 128,
-    "r_cap": 0.995,
-    "refine_depth": 6,
-    "rel_tol": 1e-4,
-    "points": 50,
-    "workers": 1,
-    "which": "both",
-    "format": None,
-    "out": None,
-    "alphas": "0,0.5235987755982988,0.7853981633974483,1.0471975511965976",
-}
+def _check_config_value(key: str, val, command: str) -> None:
+    opt = OPTIONS[key]
+    types, name = _JSON_TYPES[opt.type]
+    if opt.default is None:
+        types, name = types + (type(None),), name + " or null"
+    if type(val) not in types:
+        raise UsageError(f"config key {key!r} must be {name}, got {val!r}")
+    choices = _choices(key, command)
+    if choices and val is not None and val not in choices:
+        raise UsageError(f"config key {key!r} must be one of {', '.join(choices)}, got {val!r}")
 
 
-# JSON types a config value may take, by the type of its DEFAULTS entry: an
-# integer stands for a number, a boolean never for an integer
-_CONFIG_TYPES = {float: (float, int), type(None): (str, type(None))}
-_CONFIG_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "a boolean",
-                 type(None): "a string or null"}
-
-
-def _check_config_type(key: str, val) -> None:
-    want = type(DEFAULTS[key])
-    if type(val) not in _CONFIG_TYPES.get(want, (want,)):
-        raise UsageError(f"config key {key!r} must be {_CONFIG_NAMES[want]}, got {val!r}")
+def _alpha_grid(text: str) -> list[float]:
+    """The comma-separated alpha grid as floats; empty entries are skipped."""
+    return [_checked(float, tok) for tok in text.split(",") if tok != ""]
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
@@ -220,7 +200,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
         for key, val in file_cfg.items():
-            _check_config_type(key, val)
+            _check_config_value(key, val, args.command)
         cfg.update(file_cfg)
     for key in DEFAULTS:
         val = getattr(args, key, None)
@@ -229,33 +209,22 @@ def resolve_config(args: argparse.Namespace) -> dict:
     cfg["command"] = args.command
     if args.command == "verify":
         cfg["theorem"] = args.theorem
+    if not math.isfinite(cfg["zeta_arg"]):
+        raise UsageError(f"zeta_arg must be finite, got {cfg['zeta_arg']!r}")
     if cfg["deg"]:
         cfg["alpha"] = math.radians(cfg["alpha"])
-        cfg["alphas"] = ",".join(str(math.radians(float(a)))
-                                 for a in str(cfg["alphas"]).split(","))
+        cfg["alphas"] = ",".join(str(math.radians(a)) for a in _alpha_grid(cfg["alphas"]))
         cfg["deg"] = False
     return cfg
 
 
 def _alpha(cfg: dict) -> Alpha:
-    try:
-        return Alpha(float(cfg["alpha"]))
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    return _checked(Alpha, float(cfg["alpha"]))
 
 
 def _plan(cfg: dict) -> SamplingPlan:
-    try:
-        return SamplingPlan(**{k: cfg[k] for k in PLAN_KEYS})
-    except ValueError as exc:
-        raise UsageError(str(exc))
-
-
-def _random_member(cfg: dict, alpha: Alpha):
-    try:
-        return random_member(alpha, cfg["seed"], cfg["degree"], cfg["zero_f2"])
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    return _checked(SamplingPlan,
+                    **{f.name: cfg[f.name] for f in dataclasses.fields(SamplingPlan)})
 
 
 def build_function(cfg: dict):
@@ -264,14 +233,6 @@ def build_function(cfg: dict):
         raise UsageError(f"unknown function tag {tag!r}; known: {', '.join(FUNCTION_TAGS)}")
     zeta = complex(math.cos(cfg["zeta_arg"]), math.sin(cfg["zeta_arg"]))
     return _BUILDERS[tag](cfg, _alpha(cfg), zeta)
-
-
-def _emit(payload: str, out: Optional[str]) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
 
 
 def _json_payload(cfg: dict, results: dict) -> str:
@@ -287,32 +248,48 @@ def _json_payload(cfg: dict, results: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def cmd_norm(cfg: dict) -> int:
+def _csv(header: tuple, rows) -> str:
+    # str of a float is its repr, so every value reads back bit for bit
+    return "".join(",".join(map(str, row)) + "\n" for row in (header, *rows))
+
+
+def _norm_csv(cfg: dict, results: dict) -> str:
+    return _csv(("which", "value", "witness_re", "witness_im", "converged", "depth_used"),
+                [(key, r["value"], r["witness"]["re"], r["witness"]["im"], r["converged"],
+                  r["depth_used"]) for key, r in sorted(results.items())])
+
+
+def _norm_text(cfg: dict, results: dict) -> str:
+    return "".join(f"{key} norm estimate: {r['value']:.10g} "
+                   f"(witness {r['witness']['re']:.6g}{r['witness']['im']:+.6g}i, "
+                   f"converged={r['converged']})\n" for key, r in sorted(results.items()))
+
+
+def _verify_text(cfg: dict, r: dict) -> str:
+    return (f"{r['theorem_id']}: {r['status']} (max violation {r['max_violation']:.3g})\n"
+            f"  {r['details']}\n")
+
+
+_SWEEP_COLUMNS = ("alpha", "pre_bound", "pre_estimate", "schwarzian_bound",
+                  "schwarzian_estimate")
+
+
+def _sweep_csv(cfg: dict, results: dict) -> str:
+    return _csv(_SWEEP_COLUMNS, [row.values() for row in results["rows"]])
+
+
+def cmd_norm(cfg: dict) -> tuple[dict, int]:
     fn = build_function(cfg)
     plan = _plan(cfg)
-    results = {key: _norm_json(weighted_norm(fn, k, plan))
-               for key, k in (("pre", 1), ("schwarzian", 2))
-               if cfg["which"] in (key, "both")}
-    fmt = cfg["format"] or "json"
-    if fmt == "json":
-        _emit(_json_payload(cfg, results), cfg["out"])
-    elif fmt == "csv":
-        buf = io.StringIO()
-        buf.write("which,value,witness_re,witness_im,converged,depth_used\n")
-        for key, r in sorted(results.items()):
-            buf.write(f"{key},{r['value']!r},{r['witness']['re']!r},"
-                      f"{r['witness']['im']!r},{r['converged']},{r['depth_used']}\n")
-        _emit(buf.getvalue(), cfg["out"])
-    else:
-        lines = [f"{key} norm estimate: {r['value']:.10g} "
-                 f"(witness {r['witness']['re']:.6g}{r['witness']['im']:+.6g}i, "
-                 f"converged={r['converged']})"
-                 for key, r in sorted(results.items())]
-        _emit("\n".join(lines) + "\n", cfg["out"])
-    return EXIT_OK
+    return {key: _json_of(weighted_norm(fn, k, plan))
+            for key, k in (("pre", 1), ("schwarzian", 2))
+            if cfg["which"] in (key, "both")}, EXIT_OK
 
 
-def cmd_verify(cfg: dict) -> int:
+_EXIT_OF_STATUS = {PASS: EXIT_OK, PRECONDITION_UNMET: EXIT_PRECONDITION}
+
+
+def cmd_verify(cfg: dict) -> tuple[dict, int]:
     theorem = cfg["theorem"]
     if theorem not in THEOREM_IDS:
         raise UsageError(f"unknown theorem id {theorem!r}; known: {', '.join(THEOREM_IDS)}")
@@ -322,24 +299,11 @@ def cmd_verify(cfg: dict) -> int:
     points = random_disk_points(cfg["points"], seed=cfg["seed"] + 1,
                                 radius=min(0.9, fn.radius_limit))
     rep = _VERIFIERS[theorem](fn, _alpha(cfg), _plan(cfg), points)
-    fmt = cfg["format"] or "json"
-    if fmt == "json":
-        _emit(_json_payload(cfg, _report_json(rep)), cfg["out"])
-    else:
-        _emit(f"{rep.theorem_id}: {rep.status} (max violation {rep.max_violation:.3g})\n"
-              f"  {rep.details}\n", cfg["out"])
-    if rep.status == PASS:
-        return EXIT_OK
-    if rep.status == PRECONDITION_UNMET:
-        return EXIT_PRECONDITION
-    return EXIT_THEOREM_FAIL
+    return _json_of(rep), _EXIT_OF_STATUS.get(rep.status, EXIT_THEOREM_FAIL)
 
 
-def cmd_sweep(cfg: dict) -> int:
-    try:
-        alphas = [Alpha(float(tok)) for tok in str(cfg["alphas"]).split(",") if tok != ""]
-    except ValueError as exc:
-        raise UsageError(str(exc))
+def cmd_sweep(cfg: dict) -> tuple[dict, int]:
+    alphas = [_checked(Alpha, a) for a in _alpha_grid(cfg["alphas"])]
     plan = _plan(cfg)
     rows = []
     for alpha in alphas:
@@ -347,43 +311,40 @@ def cmd_sweep(cfg: dict) -> int:
         c = alpha.cos
         pre = weighted_norm(fn, 1, plan)
         sch = weighted_norm(fn, 2, plan)
-        rows.append({
-            "alpha": alpha.value,
-            "pre_bound": 2.0 * c,
-            "pre_estimate": pre.value,
-            "schwarzian_bound": 2.0 * c * (2.0 - c),
-            "schwarzian_estimate": sch.value,
-        })
-    fmt = cfg["format"] or "csv"
-    if fmt == "json":
-        _emit(_json_payload(cfg, {"rows": rows}), cfg["out"])
-    else:
-        buf = io.StringIO()
-        buf.write("alpha,pre_bound,pre_estimate,schwarzian_bound,schwarzian_estimate\n")
-        for row in rows:
-            buf.write(f"{row['alpha']!r},{row['pre_bound']!r},{row['pre_estimate']!r},"
-                      f"{row['schwarzian_bound']!r},{row['schwarzian_estimate']!r}\n")
-        _emit(buf.getvalue(), cfg["out"])
-    return EXIT_OK
+        rows.append(dict(zip(_SWEEP_COLUMNS, (alpha.value, 2.0 * c, pre.value,
+                                              2.0 * c * (2.0 - c), sch.value))))
+    return {"rows": rows}, EXIT_OK
 
 
-def cmd_sample(cfg: dict) -> int:
+def cmd_sample(cfg: dict) -> tuple[dict, int]:
     alpha = _alpha(cfg)
-    member = _random_member(cfg, alpha)
-    plan = _plan(cfg)
-    margin = robertson_margin(member, alpha, plan)
+    member = _BUILDERS["random"](cfg, alpha, None)
+    margin = robertson_margin(member, alpha, _plan(cfg))
     prov = member.provenance
-    results = {
+    return {
         "gamma": prov.gamma,
-        "blaschke_zeros": [_complex_json(a) for a in prov.blaschke_zeros],
-        "coefficients": [_complex_json(c) for c in member.series.coeffs],
-        "margin": _margin_json(margin),
-    }
-    _emit(_json_payload(cfg, results), cfg["out"])
-    return EXIT_OK
+        "blaschke_zeros": [_json_of(a) for a in prov.blaschke_zeros],
+        "coefficients": [_json_of(c) for c in member.series.coeffs],
+        "margin": _json_of(margin),
+    }, EXIT_OK
 
 
-_COMMANDS = {"norm": cmd_norm, "verify": cmd_verify, "sweep": cmd_sweep, "sample": cmd_sample}
+class Command(NamedTuple):
+    run: Callable[[dict], tuple[dict, int]]  # cfg -> (results, exit code)
+    help: str
+    formats: dict  # format -> writer(cfg, results); the first is the default
+
+
+COMMANDS = {
+    "norm": Command(cmd_norm, "weighted pre-Schwarzian/Schwarzian norm estimates",
+                    {"json": _json_payload, "csv": _norm_csv, "text": _norm_text}),
+    "verify": Command(cmd_verify, "run one theorem verifier",
+                      {"json": _json_payload, "text": _verify_text}),
+    "sweep": Command(cmd_sweep, "alpha sweep of the extremal-family norms",
+                     {"csv": _sweep_csv, "json": _json_payload}),
+    "sample": Command(cmd_sample, "emit a generated member and its margin",
+                      {"json": _json_payload}),
+}
 
 
 def main(argv=None) -> int:
@@ -391,7 +352,16 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = resolve_config(args)
-        return _COMMANDS[cfg["command"]](cfg)
+        command = COMMANDS[cfg["command"]]
+        results, code = command.run(cfg)
+        write = command.formats[cfg["format"] or next(iter(command.formats))]
+        payload = write(cfg, results)
+        if cfg["out"]:
+            with open(cfg["out"], "w", encoding="utf-8", newline="") as fh:
+                fh.write(payload)
+        else:
+            sys.stdout.write(payload)
+        return code
     except UsageError as exc:
         print(f"disknorms: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -175,6 +175,14 @@ def test_alpha_range_validation():
     assert Alpha(0.5).cos == math.cos(0.5)
 
 
+@pytest.mark.parametrize("cls", [RobertsonExtremal, SpiralPower])
+@pytest.mark.parametrize("zeta", [complex(math.nan, 0.0), complex(0.0, math.nan),
+                                  complex(math.inf, 0.0), 1.5j])
+def test_rotation_must_be_unimodular_and_finite(cls, zeta):
+    with pytest.raises(ValueError, match="unimodular"):
+        cls(Alpha(0.3), zeta)
+
+
 def test_moebius_requires_nonzero_determinant():
     with pytest.raises(ValueError):
         Moebius(1, 2, 1, 2)

@@ -4,12 +4,17 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
+import jsonschema
 import pytest
 
-from disknorms.cli import THEOREM_IDS, main
+from disknorms.cli import FUNCTION_TAGS, THEOREM_IDS, main
 
 OK, THEOREM_FAIL, PRECONDITION, USAGE = 0, 2, 3, 64
+SMALL = ["--radial", "16", "--angular", "32"]
+SCHEMA = json.loads((Path(__file__).resolve().parent.parent / "schema"
+                     / "report_schema.json").read_text())
 
 
 def run(args, tmp_path, name="out.json"):
@@ -221,7 +226,8 @@ def test_config_file_unknown_key_rejected(tmp_path):
 
 
 @pytest.mark.parametrize("cfg", [{"points": "5"}, {"degree": "2"}, {"seed": "x"},
-                                 {"points": True}, {"alpha": None}])
+                                 {"points": True}, {"alpha": None}, {"which": "foo"},
+                                 {"format": "xml"}])
 def test_config_value_of_wrong_type_is_usage_error(cfg, tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -244,6 +250,75 @@ def test_config_integer_accepted_for_number(tmp_path):
     code, doc = run_json(["norm", "--which", "pre", "--r-cap", "0.99", "--config", str(path)],
                          tmp_path)
     assert code == OK and doc["config"]["alpha"] == 0
+
+
+@pytest.mark.parametrize("args,fmt,head", [
+    (["norm", "--fn", "koebe", "--which", "pre"], "json", "{"),
+    (["norm", "--fn", "koebe", "--which", "pre"], "csv", "which,value,"),
+    (["norm", "--fn", "koebe", "--which", "pre"], "text", "pre norm estimate: "),
+    (["norm", "--fn", "koebe", "--which", "pre"], "xml", None),
+    (["verify", "T44", "--fn", "robertson-extremal"], "json", "{"),
+    (["verify", "T44", "--fn", "robertson-extremal"], "text", "T44: pass "),
+    (["verify", "T44", "--fn", "robertson-extremal"], "csv", None),
+    (["sweep", "--alphas", "0"], "csv", "alpha,pre_bound,"),
+    (["sweep", "--alphas", "0"], "json", "{"),
+    (["sweep", "--alphas", "0"], "text", None),
+    (["sample", "--degree", "1"], "json", "{"),
+    (["sample", "--degree", "1"], "text", None),
+    (["sample", "--degree", "1"], "csv", None)])
+@pytest.mark.parametrize("via_config", [False, True])
+def test_each_command_writes_only_its_formats(args, fmt, head, via_config, tmp_path, capsys):
+    if via_config:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"format": fmt}))
+        args = args + ["--config", str(path)]
+    else:
+        args = args + ["--format", fmt]
+    code, text = run(args + SMALL, tmp_path)
+    if head is None:
+        assert code == USAGE and text == ""
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "usage error" in err and repr(fmt) in err
+    else:
+        assert code == OK and text.startswith(head)
+
+
+@pytest.mark.parametrize("value,token", [("inf", "Infinity"), ("-inf", "-Infinity"),
+                                         ("nan", "NaN")])
+@pytest.mark.parametrize("fn", FUNCTION_TAGS)
+def test_non_finite_zeta_arg_is_usage_error(fn, value, token, tmp_path, capsys):
+    code, text = run(["norm", "--fn", fn, f"--zeta-arg={value}"], tmp_path)
+    assert code == USAGE and text == ""
+    path = tmp_path / "cfg.json"
+    path.write_text('{"zeta_arg": %s}' % token)  # JSON as Python writes a non-finite float
+    code, text = run(["norm", "--fn", fn, "--config", str(path)], tmp_path)
+    assert code == USAGE and text == ""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 2 and err.count("zeta_arg must be finite") == 2
+
+
+def test_deg_alpha_grid_parses_like_radians(tmp_path, capsys):
+    code, text = run(["sweep", "--alphas", "0,x", "--deg"], tmp_path)
+    assert code == USAGE and text == ""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "could not convert string to float: 'x'" in err
+    base = ["sweep", "--deg", "--format", "json"] + SMALL
+    code, skipped = run_json(base + ["--alphas", "0,,30"], tmp_path, "skipped.json")
+    _, plain = run_json(base + ["--alphas", "0,30"], tmp_path, "plain.json")
+    assert code == OK and skipped == plain
+    assert skipped["config"]["alphas"] == f"0.0,{math.radians(30)!r}"
+
+
+@pytest.mark.parametrize("args", [
+    ["norm", "--fn", "random", "--seed", "3"],
+    ["sweep", "--format", "json"],
+    ["sample", "--seed", "5"],
+    *[["verify", theorem, "--fn", "random", "--seed", "7", "--degree", "1", "--zero-f2",
+       "--alpha", "0.5", "--points", "5"] for theorem in THEOREM_IDS]])
+def test_json_reports_match_schema(args, tmp_path):
+    code, doc = run_json(args + SMALL, tmp_path)
+    assert code in (OK, THEOREM_FAIL, PRECONDITION)
+    jsonschema.validate(doc, SCHEMA)
 
 
 def test_deg_flag_converts(tmp_path):
