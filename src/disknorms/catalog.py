@@ -118,7 +118,18 @@ class AnalyticFn:
         return self.derivatives(z).f
 
     def fourth_derivative(self, z: complex) -> complex:
-        raise NotImplementedError
+        """f'''' with the radius guard of deriv123 and a finiteness guard."""
+        z = self._check_radius(z)
+        try:
+            f4 = self._fourth(z)
+            if cmath.isfinite(f4):
+                return f4
+        except (ZeroDivisionError, OverflowError):
+            pass
+        raise NonFiniteValue(f"{self.name}: non-finite fourth derivative at {z!r}")
+
+    def _fourth(self, z: complex) -> complex:
+        raise NotImplementedError(f"{self.name}: no fourth derivative implemented")
 
     def second_deriv_origin(self) -> complex:
         return self.derivatives(0j).f2
@@ -137,7 +148,7 @@ class Identity(AnalyticFn):
     def _derivs(self, z):
         return z, 1.0 + 0j, 0j, 0j
 
-    def fourth_derivative(self, z):
+    def _fourth(self, z):
         return 0j
 
     def taylor(self, order=DEFAULT_ORDER, guard_radius=DEFAULT_GUARD_RADIUS):
@@ -153,8 +164,7 @@ class HalfPlane(AnalyticFn):
         w = 1.0 - z
         return z / w, w ** -2, 2 * w ** -3, 6 * w ** -4
 
-    def fourth_derivative(self, z):
-        self._check_radius(z)
+    def _fourth(self, z):
         return 24 * (1.0 - z) ** -5
 
     def taylor(self, order=DEFAULT_ORDER, guard_radius=DEFAULT_GUARD_RADIUS):
@@ -171,8 +181,7 @@ class Koebe(AnalyticFn):
         return (z * w ** -2, (1 + z) * w ** -3,
                 (4 + 2 * z) * w ** -4, (18 + 6 * z) * w ** -5)
 
-    def fourth_derivative(self, z):
-        self._check_radius(z)
+    def _fourth(self, z):
         return (96 + 24 * z) * (1.0 - z) ** -6
 
     def taylor(self, order=DEFAULT_ORDER, guard_radius=DEFAULT_GUARD_RADIUS):
@@ -222,8 +231,7 @@ class RobertsonExtremal(AnalyticFn):
         f1, f2, f3 = self._derivs123(z)
         return self.value(z), f1, f2, f3
 
-    def fourth_derivative(self, z):
-        z = self._check_radius(z)
+    def _fourth(self, z):
         c = self.alpha.cos
         zt = self.zeta
         w = zt * z
@@ -278,8 +286,7 @@ class SpiralPower(AnalyticFn):
         f = (cmath.exp((1 - b) * cmath.log(1.0 - self.zeta * z)) - 1.0) / (self.zeta * (b - 1))
         return (f, *self._derivs123(z))
 
-    def fourth_derivative(self, z):
-        z = self._check_radius(z)
+    def _fourth(self, z):
         b = self.exponent
         w = 1.0 - self.zeta * z
         return b * (b + 1) * (b + 2) * self.zeta ** 3 * cmath.exp(-(b + 3) * cmath.log(w))
@@ -319,7 +326,7 @@ class Moebius(AnalyticFn):
         return ((self.a * z + self.b) / w, det / w ** 2,
                 -2 * self.c * det / w ** 3, 6 * self.c ** 2 * det / w ** 4)
 
-    def fourth_derivative(self, z):
+    def _fourth(self, z):
         det = self.a * self.d - self.b * self.c
         w = self.c * z + self.d
         return -24 * self.c ** 3 * det / w ** 5
@@ -358,7 +365,7 @@ class Polynomial(AnalyticFn):
             out.append(acc)
         return tuple(out)
 
-    def fourth_derivative(self, z):
+    def _fourth(self, z):
         acc = 0j
         for n in range(len(self.coeffs) - 1, 3, -1):
             acc = acc * z + n * (n - 1) * (n - 2) * (n - 3) * self.coeffs[n]
@@ -412,8 +419,7 @@ class SeriesFn(AnalyticFn):
             self._refuse(z, (f1,), f1)
         return f1
 
-    def fourth_derivative(self, z):
-        z = self._check_radius(z)
+    def _fourth(self, z):
         return self._d4.eval(z)
 
     def derivative_series(self) -> tuple[TaylorSeries, TaylorSeries, TaylorSeries]:
@@ -467,9 +473,6 @@ class ZTimesDerivative(AnalyticFn):
         f1, f2, f3 = self.base.deriv123(z)
         f4 = self.base.fourth_derivative(z)
         return (z * f1, f1 + z * f2, 2 * f2 + z * f3, 3 * f3 + z * f4)
-
-    def fourth_derivative(self, z):
-        raise NotImplementedError("fifth derivative of the base not available")
 
 
 def eval_derivatives(f: AnalyticFn, z: complex) -> DerivStack:

@@ -21,8 +21,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
+import re
 import sys
 from typing import Callable, NamedTuple, Optional
 
@@ -123,6 +125,13 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # an argument matching this is a value, not an option: every float
+        # literal, where argparse's own pattern misses -1e-3 and -inf
+        self._negative_number_matcher = re.compile(
+            r"^-(?:(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?|inf(?:inity)?|nan)$", re.IGNORECASE)
+
     def error(self, message):  # argparse defaults to exit code 2
         raise UsageError(message)
 
@@ -148,6 +157,7 @@ def _json_of(value):
     return value
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> _Parser:
     p = _Parser(prog="disknorms", description=__doc__,
                 formatter_class=argparse.RawDescriptionHelpFormatter)

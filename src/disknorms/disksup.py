@@ -9,12 +9,13 @@ tolerance.  Every reported value is an actually evaluated sample, so sup
 estimates are certified lower bounds and inf estimates certified upper
 bounds of the true extrema.
 
-Every scan scores its grid one ring at a time: ``ring(r, m)`` returns the
-values at the m grid points of one ring (ring_points); a scan given no ring
-evaluator maps its pointwise evaluator over them.  The grid phase keeps the
-first best cell in scan order and re-scores it pointwise, so the reported
-value is still one that the evaluator returned at the witness.  Refinement
-and march always sample pointwise.
+Both scan kinds maximize weight(r) * part(value): (1 - r^2)^k |g| for a
+sup, -1 * Re h for an inf.  The grid is scored one ring at a time from
+``ring(r, m)``, the values at ring_points(r, m), by default the pointwise
+evaluator mapped over them.  One sampler takes every other sample: it
+evaluates the point, scores it, counts it and keeps the first best one.  It
+re-scores the grid's first best cell in scan order uncounted, so the reported
+value is one that the evaluator returned at _point(witness_r, witness_theta).
 
 The weight (1 - r^2) is always computed as (1 - r)(1 + r) from the grid
 radius, which stays exact to one ulp arbitrarily close to the boundary.
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -108,26 +110,24 @@ def ring_points(r: float, m: int) -> list[complex]:
     return [complex(r * c, r * s) for c, s in _ring_table(m)]
 
 
-def _pointwise_ring(g: Callable[[complex], complex]) -> RingEvaluator:
-    return lambda r, m: list(map(g, ring_points(r, m)))
-
-
 class _Best:
-    __slots__ = ("score", "r", "theta", "z")
+    """The sampler of one scan (module docstring)."""
 
-    def __init__(self):
+    __slots__ = ("field", "weight", "part", "score", "r", "theta", "samples")
+
+    def __init__(self, field: Callable[[complex], complex],
+                 weight: Callable[[float], float], part: Callable[[complex], float]):
+        self.field, self.weight, self.part = field, weight, part
         self.score = -math.inf
-        self.r = 0.0
-        self.theta = 0.0
-        self.z = 0j
+        self.r = self.theta = 0.0
+        self.samples = 0
 
-    def offer(self, score: float, r: float, theta: float, z: complex) -> None:
-        # strict improvement keeps the first point in scan order on ties
-        if score > self.score:
-            self.score = score
-            self.r = r
-            self.theta = theta
-            self.z = z
+    def sample(self, r: float, theta: float) -> float:
+        s = self.weight(r) * self.part(self.field(_point(r, theta)))
+        self.samples += 1
+        if s > self.score:  # strict improvement keeps the first sample on ties
+            self.score, self.r, self.theta = s, r, theta
+        return s
 
 
 def _scan_radii(plan: SamplingPlan, cap: float) -> list[float]:
@@ -136,27 +136,29 @@ def _scan_radii(plan: SamplingPlan, cap: float) -> list[float]:
     return [cap * math.sin(0.5 * math.pi * i / (n - 1)) for i in range(n)]
 
 
-def _optimize(score: Callable[[float, float], float], plan: SamplingPlan,
-              r_limit: float, ring_scores: Callable[[float, int], Sequence[float]]
-              ) -> tuple[_Best, int, bool, int]:
-    """Maximize score(r, theta); returns (best, samples, converged, depth_used).
+def _optimize(field: Callable[[complex], complex], ring: Optional[RingEvaluator],
+              weight: Callable[[float], float], part: Callable[[complex], float],
+              plan: SamplingPlan, r_limit: float) -> tuple[_Best, bool, int]:
+    """Maximize weight(r) * part(field(z)); returns (best, converged, depth_used).
 
-    ring_scores(r, m) scores the m cells of a grid ring at once.
-    """
+    ring(r, m) gives the field on a whole grid ring, by default pointwise."""
     cap = min(plan.r_cap, r_limit)
     radii = _scan_radii(plan, cap)
     m = plan.angular_count
 
-    best = _Best()
+    best = _Best(field, weight, part)
     # strict improvement keeps the first cell in scan order on ties
     top, top_r, top_j = -math.inf, 0.0, 0
     for r in radii:
-        for j, s in enumerate(ring_scores(r, m)):
+        w = weight(r)
+        values = map(field, ring_points(r, m)) if ring is None else ring(r, m)
+        for j, v in enumerate(values):
+            s = w * part(v)
             if s > top:
                 top, top_r, top_j = s, r, j
-    t = 2.0 * math.pi * top_j / m
-    best.offer(score(top_r, t), top_r, t, _point(top_r, t))
-    samples = len(radii) * m
+    # the grid's cells are its samples; re-scoring the winner adds none
+    best.sample(top_r, 2.0 * math.pi * top_j / m)
+    best.samples = len(radii) * m
 
     spacing0 = cap * math.sin(0.5 * math.pi / (plan.radial_count - 1))
     history = [best.score]
@@ -170,12 +172,10 @@ def _optimize(score: Callable[[float, float], float], plan: SamplingPlan,
         gap = r_limit - r0
         cand_r = [r0, r0 - dr, r0 + dr, r0 - 0.5 * dr, r0 + 0.5 * dr,
                   r0 + 0.5 * gap, r0 + 0.75 * gap, r_limit]
-        cand_r = [min(max(r, 0.0), r_limit) for r in cand_r]
         for r in cand_r:
+            r = min(max(r, 0.0), r_limit)
             for m in (-2, -1, 0, 1, 2):
-                t = t0 + m * dtheta
-                best.offer(score(r, t), r, t, _point(r, t))
-                samples += 1
+                best.sample(r, t0 + m * dtheta)
         history.append(best.score)
         if len(history) >= 3:
             scale = max(abs(history[-1]), 1e-300)
@@ -200,22 +200,15 @@ def _optimize(score: Callable[[float, float], float], plan: SamplingPlan,
             if g < MARCH_MIN_GAP:
                 break
             r = r_limit - g
-            v0 = score(r, theta)
-            vp = score(r, theta + width)
-            vm = score(r, theta - width)
-            best.offer(v0, r, theta, _point(r, theta))
-            best.offer(vp, r, theta + width, _point(r, theta + width))
-            best.offer(vm, r, theta - width, _point(r, theta - width))
-            samples += 3
+            v0 = best.sample(r, theta)
+            vp = best.sample(r, theta + width)
+            vm = best.sample(r, theta - width)
             curv = vp - 2.0 * v0 + vm
             if curv < -1e-300:
                 shift = 0.5 * width * (vm - vp) / curv
                 if abs(shift) <= width:
-                    theta_new = theta + shift
-                    vn = score(r, theta_new)
-                    best.offer(vn, r, theta_new, _point(r, theta_new))
-                    samples += 1
-                    theta = theta_new
+                    theta += shift
+                    best.sample(r, theta)
             elif vp > v0 or vm > v0:
                 theta = theta + width if vp >= vm else theta - width
             width *= 0.5
@@ -226,7 +219,7 @@ def _optimize(score: Callable[[float, float], float], plan: SamplingPlan,
                 remaining = fitted_limit - best.score
                 if remaining <= plan.rel_tol * max(abs(best.score), 1e-300):
                     break
-    return best, samples, converged, depth_used
+    return best, converged, depth_used
 
 
 def weighted_sup(g: Callable[[complex], complex], k: int, plan: SamplingPlan,
@@ -238,38 +231,23 @@ def weighted_sup(g: Callable[[complex], complex], k: int, plan: SamplingPlan,
     docstring).  ``workers`` is ignored: the scan runs serially."""
     if k not in (1, 2):
         raise ValueError(f"weight exponent must be 1 or 2, got {k}")
-    if ring is None:
-        ring = _pointwise_ring(g)
-
-    def score(r: float, theta: float) -> float:
-        return weight_factor(r, k) * abs(g(_point(r, theta)))
-
-    def ring_scores(r: float, m: int) -> list[float]:
-        w = weight_factor(r, k)
-        return [w * abs(v) for v in ring(r, m)]
-
-    best, _, converged, depth_used = _optimize(score, plan, r_limit, ring_scores)
-    return NormEstimate(best.score, best.z, best.r, best.theta, k, converged, depth_used)
+    best, converged, depth_used = _optimize(g, ring, lambda r: weight_factor(r, k), abs,
+                                            plan, r_limit)
+    return NormEstimate(best.score, _point(best.r, best.theta), best.r, best.theta, k,
+                        converged, depth_used)
 
 
 def weighted_inf_re(h: Callable[[complex], complex], plan: SamplingPlan,
                     r_limit: float = CLOSED_FORM_CEILING, workers: int = 1,
                     ring: Optional[RingEvaluator] = None) -> MarginReport:
-    """Sampled infimum of Re h over the disk.
+    """Sampled infimum of Re h over the disk, as minus the sup of -Re h.
 
     ``ring`` evaluates h on whole grid rings, by default pointwise (module
     docstring).  ``workers`` is ignored: the scan runs serially."""
-    if ring is None:
-        ring = _pointwise_ring(h)
-
-    def score(r: float, theta: float) -> float:
-        return -(h(_point(r, theta)).real)
-
-    def ring_scores(r: float, m: int) -> list[float]:
-        return [-(v.real) for v in ring(r, m)]
-
-    best, samples, _, _ = _optimize(score, plan, r_limit, ring_scores)
-    return MarginReport(-best.score, best.z, best.r, best.theta, samples)
+    best, _, _ = _optimize(h, ring, lambda r: -1.0, operator.attrgetter("real"),
+                           plan, r_limit)
+    return MarginReport(-best.score, _point(best.r, best.theta), best.r, best.theta,
+                        best.samples)
 
 
 def radial_profile(g: Callable[[complex], complex], k: int, theta: float,

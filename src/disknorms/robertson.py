@@ -139,16 +139,24 @@ def characterization_residuals(f: AnalyticFn, alpha: Alpha,
     z = complex(z)
     if abs(z) >= 1.0:
         raise ValueError(f"need |z| < 1, got {abs(z)}")
-    return characterization_residuals_of(alpha, z, pre_schwarzian_evaluator(f)(z))
+    u = pre_schwarzian_evaluator(f)(z)
+    return tuple(res(z, u) for res in characterization_residuals_of(alpha))
 
 
-def characterization_residuals_of(alpha: Alpha, z: complex, u: complex) -> tuple[float, float]:
-    """(res_ii, res_iii) of characterization_residuals from u = f''/f' at z."""
+def characterization_residuals_of(alpha: Alpha
+                                  ) -> tuple[Callable[[complex, complex], float], ...]:
+    """(res_ii, res_iii) of characterization_residuals, each a function of
+    (z, u) with u = f''/f' at z, so that a scan computes only its own."""
     c = alpha.cos
     phase = alpha.phase
-    w = (1.0 - abs(z)) * (1.0 + abs(z))
-    res_ii = (1.0 + phase * z * u).real - (1.0 - c + w / (4.0 * c) * abs(u) ** 2)
-    res_iii = 2.0 * c - abs(w * phase * u - 2.0 * c * z.conjugate())
+
+    def res_ii(z: complex, u: complex) -> float:
+        w = (1.0 - abs(z)) * (1.0 + abs(z))
+        return (1.0 + phase * z * u).real - (1.0 - c + w / (4.0 * c) * abs(u) ** 2)
+
+    def res_iii(z: complex, u: complex) -> float:
+        w = (1.0 - abs(z)) * (1.0 + abs(z))
+        return 2.0 * c - abs(w * phase * u - 2.0 * c * z.conjugate())
     return res_ii, res_iii
 
 

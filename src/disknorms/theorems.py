@@ -129,11 +129,8 @@ def verify_T41(f: AnalyticFn, alpha: Alpha, plan: SamplingPlan,
 
     ceiling = min(f.radius_limit, RESIDUAL_SCAN_CEILING)
 
-    def residual(i: int):
-        return lambda z, u: complex(characterization_residuals_of(alpha, z, u)[i], 0.0)
-
-    inf_ii = pre_schwarzian_inf_re(f, residual(0), plan, ceiling)
-    inf_iii = pre_schwarzian_inf_re(f, residual(1), plan, ceiling)
+    inf_ii, inf_iii = (pre_schwarzian_inf_re(f, res, plan, ceiling)
+                       for res in characterization_residuals_of(alpha))
     worst = min(inf_ii.inf_value, inf_iii.inf_value)
     witness = inf_ii.witness if inf_ii.inf_value <= inf_iii.inf_value else inf_iii.witness
     status = PASS if worst >= -tol else FAIL

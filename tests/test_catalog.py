@@ -7,7 +7,7 @@ import pytest
 
 from disknorms import (Alpha, HalfPlane, Identity, Koebe, Moebius, Polynomial,
                        RobertsonExtremal, SeriesFn, SpiralPower, TaylorSeries,
-                       OutsideGuardRadius, VanishingDerivative, eval_derivatives,
+                       NonFiniteValue, OutsideGuardRadius, VanishingDerivative, eval_derivatives,
                        random_disk_points, random_member, second_deriv_origin)
 
 FD_STEP = 1e-5
@@ -77,6 +77,21 @@ def test_fourth_derivative_oracle(fn):
         fd4 = central_diff(lambda w: fn.derivatives(w).f3, z)
         f4 = fn.fourth_derivative(z)
         assert abs(fd4 - f4) <= 1e-4 * max(1.0, abs(f4))
+
+
+def test_fourth_derivative_guards_like_deriv123():
+    """Outside the guard radius and at a pole, fourth_derivative raises the
+    errors deriv123 raises there instead of returning a value."""
+    poly = Polynomial((0, 1, 0, 0, 0, 1))
+    with pytest.raises(OutsideGuardRadius):
+        poly.deriv123(2.0)
+    for fn, z in ((Identity(), 5), (poly, 2.0)):
+        with pytest.raises(OutsideGuardRadius):
+            fn.fourth_derivative(z)
+    pole = Moebius(1, 0, -2, 1)
+    for call in (pole.deriv123, pole.fourth_derivative):
+        with pytest.raises(NonFiniteValue):
+            call(0.5)
 
 
 def test_series_fourth_derivative_series_built_once():

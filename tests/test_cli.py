@@ -297,6 +297,24 @@ def test_non_finite_zeta_arg_is_usage_error(fn, value, token, tmp_path, capsys):
     assert err.count("\n") == 2 and err.count("zeta_arg must be finite") == 2
 
 
+def test_negative_float_literal_is_a_flag_value(tmp_path, capsys):
+    """A separate value that starts with '-' reads as a number in every
+    float spelling, not as a flag."""
+    base = ["norm", "--fn", "koebe", "--which", "pre"]
+    code, spaced = run(base + ["--alpha", "-1e-3"], tmp_path, "spaced.json")
+    _, joined = run(base + ["--alpha=-1e-3"], tmp_path, "joined.json")
+    assert code == OK and spaced == joined and '"alpha": -0.001' in spaced
+    code, text = run(base + ["--zeta-arg", "-inf"], tmp_path, "inf.json")
+    assert code == USAGE and text == ""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "zeta_arg must be finite" in err
+
+
+def test_parser_is_built_once():
+    from disknorms.cli import build_parser
+    assert build_parser() is build_parser()
+
+
 def test_deg_alpha_grid_parses_like_radians(tmp_path, capsys):
     code, text = run(["sweep", "--alphas", "0,x", "--deg"], tmp_path)
     assert code == USAGE and text == ""

@@ -279,6 +279,42 @@ def test_series_backed_scans_pinned():
     assert got == PINNED_MEMBER_SCANS
 
 
+# (MarginReport.samples, pointwise calls) of the margin scan of each key below
+PINNED_SAMPLE_COUNTS = {(0.5, 7, 3, False): (8392, 201), (-0.9, 4, 2, True): (8272, 81),
+                        "1 + z": (8312, 8313)}
+
+
+def test_scans_count_every_sample_but_the_grid_winner_rescore():
+    """A ring-scored grid counts each of its cells once, every pointwise
+    sample off the grid counts once, and the pointwise re-score of the grid
+    winner does not count; each witness is _point of its polar coordinates,
+    bit for bit."""
+    def bits(z):
+        return z.real.hex(), z.imag.hex()
+    got = {}
+    for key in PINNED_SAMPLE_COUNTS:
+        calls = []
+        if key == "1 + z":
+            ev, ring, r_limit = (lambda z: 1 + z), None, 1.0 - 1e-12
+        else:
+            aval, seed, degree, zero_f2 = key
+            m = random_member(Alpha(aval), seed, degree, zero_second_deriv=zero_f2)
+            (ev, ring), r_limit = _field(m, 1), m.radius_limit
+
+        def g(z):
+            calls.append(z)
+            return ev(z)
+        rep = weighted_inf_re(g, PLAN, r_limit=r_limit, ring=ring)
+        grid = 0 if ring is None else PLAN.radial_count * PLAN.angular_count
+        assert rep.samples == grid + len(calls) - 1
+        assert bits(rep.witness) == bits(_point(rep.witness_r, rep.witness_theta))
+        got[key] = (rep.samples, len(calls))
+        for k in (1, 2):
+            est = weighted_sup(g, k, PLAN, r_limit=r_limit, ring=ring)
+            assert bits(est.witness) == bits(_point(est.witness_r, est.witness_theta))
+    assert got == PINNED_SAMPLE_COUNTS
+
+
 def test_grid_ties_go_to_the_first_cell_in_scan_order():
     assert weighted_sup(lambda z: 1.0, 1, PLAN).witness_theta == 0.0
     assert weighted_inf_re(lambda z: 1.0, PLAN).witness_theta == 0.0
