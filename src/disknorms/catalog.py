@@ -4,9 +4,10 @@ Closed-form entries (identity, half-plane map, Koebe, the extremal power
 families, Moebius maps, polynomials) report exact derivatives; series-backed
 entries differentiate their stored Taylor series.  A deterministic generator
 produces genuine members of the angle-alpha convexity class by choosing an
-analytic self-map of the disk as a Blaschke product and integrating the
-resulting log-derivative, so membership holds by construction up to series
-truncation.
+analytic self-map phi = num/den of the disk as a Blaschke product.  Such a
+member's f''/f' and Schwarzian are rational functions of z, exact on the
+whole open disk (RationalField); its Taylor series, needed only for
+pointwise values of f and its derivatives, is built on first use.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Sequence
 
 from .errors import NonFiniteValue, OutsideGuardRadius, VanishingDerivative
 from .quadrature import quadrature_complex
@@ -58,6 +59,52 @@ class DerivStack:
     f1: complex
     f2: complex
     f3: complex
+
+
+class RationalField:
+    """num(z) / den(z)^power for polynomials num and den.
+
+    Each polynomial takes one Horner pass; a squared denominator is the
+    square of its Horner value, since Horner on the expanded square loses
+    digits near the roots of den on the unit circle.
+    """
+
+    __slots__ = ("num", "den", "power")
+
+    def __init__(self, num: Sequence[complex], den: Sequence[complex], power: int = 1):
+        # coefficients come lowest degree first and are kept highest first
+        self.num = tuple(complex(c) for c in reversed(num))
+        self.den = tuple(complex(c) for c in reversed(den))
+        self.power = power
+
+    def __call__(self, z: complex) -> complex:
+        p = q = 0j
+        for c in self.num:
+            p = p * z + c
+        for c in self.den:
+            q = q * z + c
+        return p / q if self.power == 1 else p / (q * q)
+
+
+def _poly_mul(p: Sequence[complex], q: Sequence[complex]) -> list[complex]:
+    out = [0j] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _poly_sum(*terms: tuple[complex, Sequence[complex]]) -> list[complex]:
+    """Sum of c * p over the (c, p) terms."""
+    out = [0j] * max(len(p) for _, p in terms)
+    for c, p in terms:
+        for k, a in enumerate(p):
+            out[k] += c * a
+    return out
+
+
+def _poly_diff(p: Sequence[complex]) -> list[complex]:
+    return [k * p[k] for k in range(1, len(p))]
 
 
 def _unimodular(zeta: complex) -> complex:
@@ -379,13 +426,12 @@ class Polynomial(AnalyticFn):
 class SeriesFn(AnalyticFn):
     """Analytic function backed by a truncated Taylor series of f itself.
 
-    The first three derivative series are materialized eagerly (termwise
-    differentiation, exact to truncation); the fourth-derivative,
-    pre-Schwarzian and Schwarzian series are built on first use and cached.
+    The first three derivative series (termwise differentiation, exact to
+    truncation), the fourth-derivative, pre-Schwarzian and Schwarzian series
+    are built on first use and cached.
     """
 
-    def __init__(self, series: TaylorSeries, require_normalized: bool = True,
-                 provenance: Optional["MemberProvenance"] = None):
+    def __init__(self, series: TaylorSeries, require_normalized: bool = True):
         c0 = series.coeffs[0]
         c1 = series.coeffs[1] if series.order >= 1 else 0j
         if require_normalized and (abs(c0) > 1e-12 or abs(c1 - 1.0) > 1e-12):
@@ -393,10 +439,6 @@ class SeriesFn(AnalyticFn):
                 f"normalized series needs c0 = 0, c1 = 1; got {c0!r}, {c1!r}")
         self.series = series
         self.is_normalized = require_normalized
-        self.provenance = provenance
-        self._d1 = series.diff()
-        self._d2 = self._d1.diff()
-        self._d3 = self._d2.diff()
 
     name = "series"
 
@@ -424,6 +466,18 @@ class SeriesFn(AnalyticFn):
 
     def derivative_series(self) -> tuple[TaylorSeries, TaylorSeries, TaylorSeries]:
         return self._d1, self._d2, self._d3
+
+    @cached_property
+    def _d1(self) -> TaylorSeries:
+        return self.series.diff()
+
+    @cached_property
+    def _d2(self) -> TaylorSeries:
+        return self._d1.diff()
+
+    @cached_property
+    def _d3(self) -> TaylorSeries:
+        return self._d2.diff()
 
     @cached_property
     def _d4(self) -> TaylorSeries:
@@ -510,18 +564,83 @@ class MemberProvenance:
         return acc
 
 
+class GeneratedMember(SeriesFn):
+    """Member of the class built from a Blaschke self-map phi = num/den.
+
+    With b = e^{-i alpha} cos alpha, membership means f''/f' = 2b phi/(1 - z phi)
+    = 2b num/(den - z num), so the Schwarzian f''/f' differentiated minus half
+    its square is 2b (num' den - num den' + (1 - b) num^2)/(den - z num)^2.
+    Both fields are RationalFields, exact on the whole open disk.  The Taylor
+    series of f, which the pointwise values of f and its derivatives need, is
+    built on first use and trusted up to its guard radius (radius_limit).
+    """
+
+    def __init__(self, provenance: MemberProvenance, order: int, guard_radius: float):
+        self.provenance = provenance
+        self._order, self._guard_radius = order, guard_radius
+        alpha = provenance.alpha
+        self._two_b = 2 * (cmath.exp(-1j * alpha.value) * alpha.cos)
+        num, den = [1.0 + 0j], [1.0 + 0j]
+        for a in provenance.blaschke_zeros:
+            num = _poly_mul(num, [a, 1.0])
+            den = _poly_mul(den, [1.0, a.conjugate()])
+        if provenance.zero_second_deriv:
+            num = [0j] + num
+        self._num, self._den = num, den
+        # den - z num: its roots, all on the unit circle, are the poles of both fields
+        self._pole_factor = _poly_sum((1.0, den), (-1.0, [0j] + num))
+
+    @property
+    def radius_limit(self) -> float:
+        return self._guard_radius
+
+    @cached_property
+    def series(self) -> TaylorSeries:
+        """Integrates f''/f' = 2b phi/(1 - z phi) at series level:
+        f' = exp(integral), f = integral of f'."""
+        order, guard_radius = self._order, self._guard_radius
+        num = TaylorSeries.from_polynomial([1.0], order, guard_radius)
+        den = TaylorSeries.from_polynomial([1.0], order, guard_radius)
+        for a in self.provenance.blaschke_zeros:
+            num = num * TaylorSeries.from_polynomial([a, 1.0], order, guard_radius)
+            den = den * TaylorSeries.from_polynomial([1.0, a.conjugate()], order, guard_radius)
+        phi = num / den
+        if self.provenance.zero_second_deriv:
+            phi = phi.shift_up()
+        one = TaylorSeries.constant(1.0, order, guard_radius)
+        q = phi.scale(self._two_b) / (one - phi.shift_up())
+        return q.integrate().exp().integrate()
+
+    @cached_property
+    def pre_schwarzian_field(self) -> RationalField:
+        return RationalField([self._two_b * c for c in self._num], self._pole_factor)
+
+    @cached_property
+    def schwarzian_field(self) -> RationalField:
+        num, den, b2 = self._num, self._den, self._two_b
+        top = _poly_sum((b2, _poly_mul(_poly_diff(num), den)),
+                        (-b2, _poly_mul(num, _poly_diff(den))),
+                        (b2 * (1.0 - 0.5 * b2), _poly_mul(num, num)))
+        return RationalField(top, self._pole_factor, power=2)
+
+    def second_deriv_origin(self):
+        """f''(0) = 2b phi(0)."""
+        return self._two_b * (self._num[0] / self._den[0])
+
+
 def random_member(alpha: Alpha, seed: int, degree: int = 3,
                   zero_second_deriv: bool = False,
                   order: int = DEFAULT_ORDER,
-                  guard_radius: float = DEFAULT_GUARD_RADIUS) -> SeriesFn:
+                  guard_radius: float = DEFAULT_GUARD_RADIUS) -> GeneratedMember:
     """Deterministic member of the class for the given angle.
 
-    Draws 'degree' Blaschke factors (z + a)/(1 + conj(a) z) with |a| <= 0.8,
-    multiplies by z when a vanishing second derivative at the origin is
-    requested, and integrates f''/f' = 2 e^{-i alpha} cos(alpha) phi / (1 - z phi)
-    at series level: f' = exp(integral), f = integral of f'.  The defining
-    real-part condition then holds everywhere by construction, so sampled
-    margins are bounded below by series truncation error only.
+    Draws 'degree' Blaschke factors (z + a)/(1 + conj(a) z) with |a| <= 0.8
+    and multiplies by z when a vanishing second derivative at the origin is
+    requested.  That self-map phi defines the member through
+    f''/f' = 2 e^{-i alpha} cos(alpha) phi / (1 - z phi), so the defining
+    real-part condition holds on the whole disk by construction, and the
+    member's f''/f' and Schwarzian are exact rational functions
+    (GeneratedMember).  Nothing else is computed until it is asked for.
     """
     if not 1 <= degree <= 3:
         raise ValueError(f"degree must be 1..3, got {degree}")
@@ -532,22 +651,6 @@ def random_member(alpha: Alpha, seed: int, degree: int = 3,
         psi = 2.0 * math.pi * rng.random()
         zeros.append(rho * cmath.exp(1j * psi))
     zeros = tuple(zeros)
-
-    num = TaylorSeries.from_polynomial([1.0], order, guard_radius)
-    den = TaylorSeries.from_polynomial([1.0], order, guard_radius)
-    for a in zeros:
-        num = num * TaylorSeries.from_polynomial([a, 1.0], order, guard_radius)
-        den = den * TaylorSeries.from_polynomial([1.0, a.conjugate()], order, guard_radius)
-    phi = num / den
-    if zero_second_deriv:
-        phi = phi.shift_up()
-
-    one = TaylorSeries.constant(1.0, order, guard_radius)
-    beta_hat = cmath.exp(-1j * alpha.value) * alpha.cos
-    q = phi.scale(2 * beta_hat) / (one - phi.shift_up())
-    fprime = q.integrate().exp()
-    f = fprime.integrate()
-
     gamma = 0.0 if zero_second_deriv else abs(complex(math.prod(zeros)))
     prov = MemberProvenance(alpha, seed, degree, zero_second_deriv, zeros, gamma)
-    return SeriesFn(f, provenance=prov)
+    return GeneratedMember(prov, order, guard_radius)

@@ -3,19 +3,22 @@
 Two independent computation paths on purpose: pointwise values come from
 the derivative stack via f'''/f' - (3/2)(f''/f')^2, series values from
 P' - P^2/2 with P = f''/f' formed by series division.  The two routes act
-as mutual oracles in the test suite.
+as mutual oracles in the test suite, and the series route checks the exact
+rational fields of generated members there too.
 
 _field is the one place that picks, by function kind, how f''/f' and the
-Schwarzian are evaluated.  Every scan of them goes through weighted_norm
-(the weighted norms) or pre_schwarzian_inf_re (the infimum of a real-part
-functional of f''/f').
+Schwarzian are evaluated and up to which radius that evaluation is exact.
+A generated member's fields are its exact rational functions, so its scans
+cover the open disk, not a truncated series.  Every scan of them goes
+through weighted_norm (the weighted norms) or pre_schwarzian_inf_re (the
+infimum of a real-part functional of f''/f').
 """
 
 from __future__ import annotations
 
-from .catalog import Alpha, AnalyticFn, DerivStack, SeriesFn
-from .disksup import (MarginReport, NormEstimate, SamplingPlan, ring_points, weighted_inf_re,
-                      weighted_sup)
+from .catalog import (CLOSED_FORM_CEILING, Alpha, AnalyticFn, DerivStack, GeneratedMember,
+                      SeriesFn)
+from .disksup import MarginReport, NormEstimate, SamplingPlan, weighted_inf_re, weighted_sup
 from .series import TaylorSeries
 
 
@@ -67,16 +70,21 @@ def schwarzian_series(f: SeriesFn) -> TaylorSeries:
 
 
 def _field(f: AnalyticFn, k: int):
-    """(point, ring) evaluators of f''/f' (k = 1) or of the Schwarzian (k = 2).
+    """(evaluator, r_limit) of f''/f' (k = 1) or of the Schwarzian (k = 2):
+    the pointwise evaluator and the radius up to which it is exact.
 
-    A series-backed f gives its cached quotient series' eval (one Horner pass
-    per point) and eval_ring (one folded DFT per grid ring); a closed form
-    gives the derivative-stack formula and no ring evaluator."""
+    A generated member gives its exact rational field, up to
+    CLOSED_FORM_CEILING; another series-backed f gives its cached quotient
+    series' eval (one Horner pass per point), up to the series' guard radius;
+    a closed form gives the derivative-stack formula, up to its
+    radius_limit."""
+    if isinstance(f, GeneratedMember):
+        return (f.pre_schwarzian_field if k == 1 else f.schwarzian_field), CLOSED_FORM_CEILING
     if isinstance(f, SeriesFn):
         s = pre_schwarzian_series(f) if k == 1 else schwarzian_series(f)
-        return s.eval, s.eval_ring
+        return s.eval, f.radius_limit
     at = pre_schwarzian_at if k == 1 else schwarzian_at
-    return (lambda z: at(f, z)), None
+    return (lambda z: at(f, z)), f.radius_limit
 
 
 def pre_schwarzian_evaluator(f: AnalyticFn):
@@ -91,17 +99,15 @@ def schwarzian_evaluator(f: AnalyticFn):
 
 def weighted_norm(f: AnalyticFn, k: int, plan: SamplingPlan) -> NormEstimate:
     """Estimate of the pre-Schwarzian (k = 1) or Schwarzian (k = 2) norm of f,
-    sup of (1 - |z|^2)^k times the field's modulus, from below."""
-    point, ring = _field(f, k)
-    return weighted_sup(point, k, plan, r_limit=f.radius_limit, ring=ring)
+    sup of (1 - |z|^2)^k times the field's modulus, from below, scanned up to
+    the radius where the field stops being exact."""
+    point, r_limit = _field(f, k)
+    return weighted_sup(point, k, plan, r_limit=r_limit)
 
 
 def pre_schwarzian_inf_re(f: AnalyticFn, post, plan: SamplingPlan,
-                          r_limit: float) -> MarginReport:
-    """Sampled infimum over |z| < r_limit of Re post(z, u), u = f''(z)/f'(z)."""
-    point, series_ring = _field(f, 1)
-    ring = None
-    if series_ring is not None:
-        def ring(r: float, m: int) -> list[complex]:
-            return list(map(post, ring_points(r, m), series_ring(r, m)))
-    return weighted_inf_re(lambda z: post(z, point(z)), plan, r_limit=r_limit, ring=ring)
+                          cap: float = CLOSED_FORM_CEILING) -> MarginReport:
+    """Sampled infimum of Re post(z, u), u = f''(z)/f'(z), over |z| < r_limit:
+    the radius up to which u is exact, or cap if that is smaller."""
+    point, r_limit = _field(f, 1)
+    return weighted_inf_re(lambda z: post(z, point(z)), plan, r_limit=min(r_limit, cap))

@@ -10,12 +10,15 @@ estimates are certified lower bounds and inf estimates certified upper
 bounds of the true extrema.
 
 Both scan kinds maximize weight(r) * part(value): (1 - r^2)^k |g| for a
-sup, -1 * Re h for an inf.  The grid is scored one ring at a time from
-``ring(r, m)``, the values at ring_points(r, m), by default the pointwise
-evaluator mapped over them.  One sampler takes every other sample: it
-evaluates the point, scores it, counts it and keeps the first best one.  It
-re-scores the grid's first best cell in scan order uncounted, so the reported
-value is one that the evaluator returned at _point(witness_r, witness_theta).
+sup, -1 * Re h for an inf, with g and h pointwise evaluators.  The caller
+passes the radius r_limit up to which its evaluator is exact (the open disk
+for closed forms and generated class members, the guard radius for other
+series-backed functions).  The grid is scored one ring at a time by mapping
+the evaluator over ring_points(r, m).  One sampler takes every other sample:
+it evaluates the point, scores it, counts it and keeps the first best one.
+It re-scores the grid's first best cell in scan order uncounted, so the
+reported value is one that the evaluator returned at
+_point(witness_r, witness_theta).
 
 The weight (1 - r^2) is always computed as (1 - r)(1 + r) from the grid
 radius, which stays exact to one ulp arbitrarily close to the boundary.
@@ -28,15 +31,12 @@ import math
 import operator
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .catalog import CLOSED_FORM_CEILING
 
 MARCH_MAX_STEPS = 45
 MARCH_MIN_GAP = 1e-12
-
-# ring(r, m) -> the values at ring_points(r, m)
-RingEvaluator = Callable[[float, int], Sequence[complex]]
 
 
 @dataclass(frozen=True)
@@ -136,12 +136,10 @@ def _scan_radii(plan: SamplingPlan, cap: float) -> list[float]:
     return [cap * math.sin(0.5 * math.pi * i / (n - 1)) for i in range(n)]
 
 
-def _optimize(field: Callable[[complex], complex], ring: Optional[RingEvaluator],
-              weight: Callable[[float], float], part: Callable[[complex], float],
-              plan: SamplingPlan, r_limit: float) -> tuple[_Best, bool, int]:
-    """Maximize weight(r) * part(field(z)); returns (best, converged, depth_used).
-
-    ring(r, m) gives the field on a whole grid ring, by default pointwise."""
+def _optimize(field: Callable[[complex], complex], weight: Callable[[float], float],
+              part: Callable[[complex], float], plan: SamplingPlan,
+              r_limit: float) -> tuple[_Best, bool, int]:
+    """Maximize weight(r) * part(field(z)); returns (best, converged, depth_used)."""
     cap = min(plan.r_cap, r_limit)
     radii = _scan_radii(plan, cap)
     m = plan.angular_count
@@ -151,8 +149,7 @@ def _optimize(field: Callable[[complex], complex], ring: Optional[RingEvaluator]
     top, top_r, top_j = -math.inf, 0.0, 0
     for r in radii:
         w = weight(r)
-        values = map(field, ring_points(r, m)) if ring is None else ring(r, m)
-        for j, v in enumerate(values):
+        for j, v in enumerate(map(field, ring_points(r, m))):
             s = w * part(v)
             if s > top:
                 top, top_r, top_j = s, r, j
@@ -223,29 +220,27 @@ def _optimize(field: Callable[[complex], complex], ring: Optional[RingEvaluator]
 
 
 def weighted_sup(g: Callable[[complex], complex], k: int, plan: SamplingPlan,
-                 r_limit: float = CLOSED_FORM_CEILING, workers: int = 1,
-                 ring: Optional[RingEvaluator] = None) -> NormEstimate:
-    """Estimate sup over the disk of (1 - |z|^2)^k |g(z)| from below.
+                 r_limit: float = CLOSED_FORM_CEILING, workers: int = 1) -> NormEstimate:
+    """Estimate sup over |z| <= r_limit of (1 - |z|^2)^k |g(z)| from below.
 
-    ``ring`` evaluates g on whole grid rings, by default pointwise (module
-    docstring).  ``workers`` is ignored: the scan runs serially."""
+    The estimate bounds the sup of g itself only where g is exact, so
+    r_limit is the radius up to which it is (module docstring).
+    ``workers`` is ignored: the scan runs serially."""
     if k not in (1, 2):
         raise ValueError(f"weight exponent must be 1 or 2, got {k}")
-    best, converged, depth_used = _optimize(g, ring, lambda r: weight_factor(r, k), abs,
+    best, converged, depth_used = _optimize(g, lambda r: weight_factor(r, k), abs,
                                             plan, r_limit)
     return NormEstimate(best.score, _point(best.r, best.theta), best.r, best.theta, k,
                         converged, depth_used)
 
 
 def weighted_inf_re(h: Callable[[complex], complex], plan: SamplingPlan,
-                    r_limit: float = CLOSED_FORM_CEILING, workers: int = 1,
-                    ring: Optional[RingEvaluator] = None) -> MarginReport:
-    """Sampled infimum of Re h over the disk, as minus the sup of -Re h.
+                    r_limit: float = CLOSED_FORM_CEILING, workers: int = 1) -> MarginReport:
+    """Sampled infimum of Re h over |z| <= r_limit, as minus the sup of -Re h.
 
-    ``ring`` evaluates h on whole grid rings, by default pointwise (module
-    docstring).  ``workers`` is ignored: the scan runs serially."""
-    best, _, _ = _optimize(h, ring, lambda r: -1.0, operator.attrgetter("real"),
-                           plan, r_limit)
+    r_limit is the radius up to which h is exact (module docstring).
+    ``workers`` is ignored: the scan runs serially."""
+    best, _, _ = _optimize(h, lambda r: -1.0, operator.attrgetter("real"), plan, r_limit)
     return MarginReport(-best.score, _point(best.r, best.theta), best.r, best.theta,
                         best.samples)
 

@@ -38,14 +38,17 @@ def robertson_margin(f: AnalyticFn, alpha: Alpha, plan: SamplingPlan,
                      workers: int = 1) -> MarginReport:
     """Sampled infimum of the defining real-part functional.
 
-    Membership is certified when the infimum stays above -TOL_MEMBERSHIP
-    (the slack absorbs series truncation error of generated members).
+    The scan covers the disk up to the radius where f''/f' is exact: the
+    open disk for closed forms and generated members (whose f''/f' is a
+    rational function), the guard radius for other series-backed f.
+    Membership is certified when the infimum stays above -TOL_MEMBERSHIP,
+    a slack for rounding and for the truncation error of such series.
     ``workers`` is ignored: the scan runs serially.
     """
     if not f.is_normalized:
         raise ValueError(f"{f.name}: membership test needs a normalized function")
     phase = alpha.phase
-    return pre_schwarzian_inf_re(f, lambda z, u: phase * (1.0 + z * u), plan, f.radius_limit)
+    return pre_schwarzian_inf_re(f, lambda z, u: phase * (1.0 + z * u), plan)
 
 
 def is_certified_member(report: MarginReport, tol: float = TOL_MEMBERSHIP) -> bool:

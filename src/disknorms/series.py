@@ -21,9 +21,7 @@ the dense loop.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
-import operator
 from typing import Iterable, Sequence
 
 from .errors import DivisionBySingularSeries, NonFiniteValue, OutsideGuardRadius
@@ -37,10 +35,10 @@ SINGULAR_EPS = 1e-12
 GUARD_SLACK = 1e-13
 
 
-def _check_finite(values: Iterable[complex], what: str = "coefficient") -> None:
+def _check_finite(values: Iterable[complex]) -> None:
     for c in values:
         if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-            raise NonFiniteValue(f"non-finite {what} {c!r}")
+            raise NonFiniteValue(f"non-finite coefficient {c!r}")
 
 
 def _degree(coeffs: Sequence[complex]) -> int:
@@ -55,52 +53,6 @@ def _negative_zero(c: complex) -> bool:
     """Whether a part of c is -0.0, which subtracting a zero can turn into +0.0."""
     return ((not c.real and math.copysign(1.0, c.real) < 0.0)
             or (not c.imag and math.copysign(1.0, c.imag) < 0.0))
-
-
-def _root(k: int, n: int) -> complex:
-    return complex(math.cos(2.0 * math.pi * k / n), math.sin(2.0 * math.pi * k / n))
-
-
-@functools.lru_cache(maxsize=16)
-def _dft_plan(n: int) -> tuple[list, int, list]:
-    """Stages of a length-n DFT, built on first use of each length.
-
-    n = 2^p q with q odd.  Each of the p radix-2 stages (Stockham autosort,
-    decimation in frequency) keeps the twiddles of its difference half and
-    the order of its outputs; the q x q matrix then finishes the s = 2^p
-    interleaved length-q transforms directly.
-    """
-    stages = []
-    s = 1
-    while n % (2 * s) == 0:
-        m = n // (2 * s)
-        twiddles = [_root(j, 2 * m) for j in range(m) for _ in range(s)]
-        order = [0] * n
-        for j in range(m):
-            for r in range(s):
-                order[r + s * 2 * j] = j * s + r
-                order[r + s * (2 * j + 1)] = n // 2 + j * s + r
-        stages.append((twiddles, order))
-        s *= 2
-    q = n // s
-    rows = [[_root(j * k % q, q) for j in range(q)] for k in range(q)]
-    return stages, s, rows
-
-
-def _dft(x: list[complex]) -> list[complex]:
-    """X_k = sum_j x_j e^{2 pi i jk/n}, Cooley-Tukey radix 2 with a direct
-    transform of the odd remainder."""
-    n = len(x)
-    stages, s, rows = _dft_plan(n)
-    h = n // 2
-    for twiddles, order in stages:
-        even, odd = x[:h], x[h:]
-        y = ([a + b for a, b in zip(even, odd)]
-             + [(a - b) * w for a, b, w in zip(even, odd, twiddles)])
-        x = [y[i] for i in order]
-    if len(rows) > 1:
-        x = [sum(map(operator.mul, x[r::s], row)) for row in rows for r in range(s)]
-    return x
 
 
 class TaylorSeries:
@@ -270,16 +222,13 @@ class TaylorSeries:
         value, _ = self.eval_with_tail(z)
         return value
 
-    def _check_radius(self, r: float) -> None:
-        if r > self.guard_radius + GUARD_SLACK:
-            raise OutsideGuardRadius(
-                f"|z| = {r:.6g} exceeds guard radius {self.guard_radius}")
-
     def eval_with_tail(self, z: complex) -> tuple[complex, float]:
         """Horner evaluation plus the |c_N||z|^N truncation-error indicator."""
         z = complex(z)
         r = abs(z)
-        self._check_radius(r)
+        if r > self.guard_radius + GUARD_SLACK:
+            raise OutsideGuardRadius(
+                f"|z| = {r:.6g} exceeds guard radius {self.guard_radius}")
         acc = 0j
         for c in reversed(self.coeffs):
             acc = acc * z + c
@@ -287,24 +236,6 @@ class TaylorSeries:
             raise NonFiniteValue(f"series evaluation overflowed at z = {z!r}")
         tail = abs(self.coeffs[-1]) * r ** self.order
         return acc, tail
-
-    def eval_ring(self, r: float, m: int) -> list[complex]:
-        """Values at the m ring points r e^{2 pi i j/m}, j = 0..m-1.
-
-        The coefficients fold into m bins, b_k = sum of c_n r^n over
-        n = k mod m, and one length-m DFT of the bins gives the m values: one
-        O(N + m log m) pass instead of m Horner passes of O(N) each.  The
-        guard-radius and finiteness checks are those of eval_with_tail.
-        """
-        self._check_radius(r)
-        bins = [0j] * m
-        p = 1.0
-        for n, c in enumerate(self.coeffs):
-            bins[n % m] += c * p
-            p *= r
-        values = _dft(bins)
-        _check_finite(values, f"value on the ring |z| = {r!r}:")
-        return values
 
 
 # Spec-facing aliases; methods above are the idiomatic entry points.

@@ -127,9 +127,7 @@ def verify_T41(f: AnalyticFn, alpha: Alpha, plan: SamplingPlan,
     if refusal is not None:
         return refusal
 
-    ceiling = min(f.radius_limit, RESIDUAL_SCAN_CEILING)
-
-    inf_ii, inf_iii = (pre_schwarzian_inf_re(f, res, plan, ceiling)
+    inf_ii, inf_iii = (pre_schwarzian_inf_re(f, res, plan, cap=RESIDUAL_SCAN_CEILING)
                        for res in characterization_residuals_of(alpha))
     worst = min(inf_ii.inf_value, inf_iii.inf_value)
     witness = inf_ii.witness if inf_ii.inf_value <= inf_iii.inf_value else inf_iii.witness

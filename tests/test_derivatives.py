@@ -1,16 +1,19 @@
-"""Pre-Schwarzian/Schwarzian values: closed forms, series route, invariances."""
+"""Pre-Schwarzian/Schwarzian values: closed forms, series route, exact
+member fields, invariances."""
 
 import cmath
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from disknorms import (Alpha, DerivStack, HalfPlane, Identity, Koebe, Moebius,
-                       Polynomial, RobertsonExtremal, SpiralPower,
+                       Polynomial, RobertsonExtremal, SamplingPlan, SeriesFn, SpiralPower,
                        pre_schwarzian_at, pre_schwarzian_series, random_disk_points,
                        random_member, schwarzian_at, schwarzian_extremal_closed,
                        schwarzian_series)
-from disknorms.derivatives import pre_schwarzian_of, schwarzian_of
+from disknorms.catalog import CLOSED_FORM_CEILING
+from disknorms.derivatives import _field, pre_schwarzian_of, schwarzian_of, weighted_norm
 
 
 def test_pre_schwarzian_identity_zero():
@@ -163,3 +166,66 @@ def test_affine_invariance_of_pre_schwarzian():
         general = DerivStack(0.7j * d.f - 3, 0.7j * d.f1, 0.7j * d.f2, 0.7j * d.f3)
         ref = pre_schwarzian_of(d)
         assert abs(pre_schwarzian_of(general) - ref) < 1e-13 * max(1.0, abs(ref))
+
+
+# -- exact fields of generated members -------------------------------------------
+
+@settings(max_examples=25, deadline=None)
+@given(aval=st.floats(-1.3, 1.3), seed=st.integers(0, 2 ** 31 - 1),
+       degree=st.integers(1, 3), zero_f2=st.booleans())
+def test_member_fields_match_series_quotients(aval, seed, degree, zero_f2):
+    """Two paths: the exact rational u = f''/f' and S_f of a member against
+    the quotient series of its Taylor series, on |z| <= 0.9.  The agreement
+    is relative to sum |c_n| |z|^n, the scale of the series' rounding and
+    truncation error."""
+    m = random_member(Alpha(aval), seed, degree, zero_f2)
+    points = random_disk_points(16, seed=seed, radius=0.9)
+    points += [cmath.rect(0.9, 2 * math.pi * j / 16) for j in range(16)]
+    for k, series in ((1, pre_schwarzian_series(m)), (2, schwarzian_series(m))):
+        field, r_limit = _field(m, k)
+        assert r_limit == CLOSED_FORM_CEILING
+        for z in points:
+            scale = sum(abs(c) * abs(z) ** n for n, c in enumerate(series.coeffs))
+            assert abs(field(z) - series.eval(z)) <= 1e-10 * scale
+
+
+def test_plain_series_fn_scans_its_quotient_series_to_the_guard_radius():
+    m = random_member(Alpha(0.5), 3, 2)
+    plain = SeriesFn(m.series)
+    for k, series in ((1, pre_schwarzian_series(plain)), (2, schwarzian_series(plain))):
+        field, r_limit = _field(plain, k)
+        assert r_limit == plain.radius_limit == 0.95
+        assert field(0.3 - 0.4j) == series.eval(0.3 - 0.4j)
+
+
+# (alpha, seed, degree, f''(0) = 0) of members whose Schwarzian norm scans end
+# 2.4e-8 from the circle, where Horner on the expanded square of den - z num
+# was off by 0.25 and 0.031
+NEAR_POLE_MEMBERS = ((-0.5473124079407211, 139590857, 1, False),
+                     (0.9503431499919908, 1568547600, 2, True))
+
+
+def test_member_fields_match_self_map_near_the_circle():
+    """On |z| = 0.999999, beyond any series, and at the witnesses of the
+    Schwarzian norm scans, most of them next to a pole on the circle, the
+    exact fields agree with u = 2b phi/(1 - z phi) and with the weighted
+    Schwarzian of test_acceptance.exact_weighted_schwarzian, both from the
+    self-map."""
+    from test_acceptance import exact_weighted_schwarzian
+    r = 0.999999
+    members = [(-1.2 + 0.2 * i, 200 + i, 1 + i % 3, bool(i % 2)) for i in range(12)]
+    for aval, seed, degree, zero_f2 in members + list(NEAR_POLE_MEMBERS):
+        a = Alpha(aval)
+        b = cmath.exp(-1j * a.value) * a.cos
+        m = random_member(a, seed, degree, zero_f2)
+        est = weighted_norm(m, 2, SamplingPlan())
+        exact = exact_weighted_schwarzian(m, a, est.witness)
+        assert abs(est.value - exact) <= 1e-6 * max(1.0, exact)
+        for j in range(256):
+            z = cmath.rect(r, 2 * math.pi * j / 256)
+            phi = m.provenance.phi(z)
+            u = 2 * b * phi / (1 - z * phi)
+            assert abs(m.pre_schwarzian_field(z) - u) <= 1e-9 * abs(u)
+            exact = exact_weighted_schwarzian(m, a, z)
+            weighted = ((1 - r) * (1 + r)) ** 2 * abs(m.schwarzian_field(z))
+            assert abs(weighted - exact) <= 1e-9 * max(1.0, exact)

@@ -8,10 +8,8 @@ import pytest
 from disknorms import (Alpha, HalfPlane, Koebe, RobertsonExtremal, SamplingPlan,
                        SpiralPower, radial_profile, random_disk_points, random_member,
                        robertson_margin, weighted_inf_re, weighted_sup)
-from disknorms.derivatives import (_field, pre_schwarzian_evaluator, schwarzian_evaluator,
-                                   weighted_norm)
+from disknorms.derivatives import _field, pre_schwarzian_evaluator, schwarzian_evaluator
 from disknorms.disksup import _point, ring_points, weight_factor
-from disknorms.robertson import robertson_functional
 from disknorms.theorems import verify_T41, verify_T43, verify_T44, verify_T45
 
 PLAN = SamplingPlan()
@@ -177,40 +175,6 @@ def test_workers_do_not_change_values():
     assert robertson_margin(m, a, PLAN, workers=1) == robertson_margin(m, a, PLAN, workers=3)
 
 
-@pytest.mark.parametrize("aval,seed,degree,zero_f2",
-                         [(0.5, 3, 3, False), (-0.9, 11, 2, False),
-                          (1.1, 21, 1, True), (-0.44, 8, 1, True)])
-def test_ring_grid_phase_matches_pointwise_scan(aval, seed, degree, zero_f2):
-    """A ring only changes how the grid is evaluated, not the estimate."""
-    a = Alpha(aval)
-    m = random_member(a, seed=seed, degree=degree, zero_second_deriv=zero_f2)
-    for k in (1, 2):
-        ev, ring = _field(m, k)
-        pointwise = weighted_sup(ev, k, PLAN, r_limit=m.radius_limit)
-        assert weighted_sup(ev, k, PLAN, r_limit=m.radius_limit, ring=ring) == pointwise
-        assert weighted_norm(m, k, PLAN) == pointwise
-    # robertson_margin scans the same functional by rings
-    assert (robertson_margin(m, a, PLAN)
-            == weighted_inf_re(robertson_functional(m, a), PLAN, r_limit=m.radius_limit))
-
-
-def test_ring_scan_samples_pointwise_only_off_the_grid():
-    m = random_member(Alpha(0.5), seed=3, degree=3)
-    ev = pre_schwarzian_evaluator(m)
-    calls = []
-
-    def g(z):
-        calls.append(z)
-        return ev(z)
-    ring = _field(m, 1)[1]
-    weighted_sup(g, 1, PLAN, r_limit=m.radius_limit, ring=ring)
-    assert 0 < len(calls) < 1000
-    calls.clear()
-    rep = weighted_inf_re(g, PLAN, r_limit=m.radius_limit, ring=ring)
-    assert 0 < len(calls) < 1000
-    assert rep.samples >= PLAN.radial_count * PLAN.angular_count
-
-
 @pytest.mark.parametrize("m", [16, 24, 127, 128])
 @pytest.mark.parametrize("r", [0.0, 0.5, 0.995, 1.0 - 1e-12])
 def test_ring_points_are_the_grid_points_bit_for_bit(m, r):
@@ -249,19 +213,19 @@ def test_closed_form_estimates_pinned():
 
 
 # float.hex of the margin's (inf_value, witness_r), of the T43/T44/T45
-# estimates, and T41's details, at the default plan, for two series-backed
-# members, whose scans score their grid rings through the quotient series
+# estimates, and T41's details, at the default plan, for two generated
+# members, whose scans evaluate their exact rational fields on the open disk
 PINNED_MEMBER_SCANS = {
     (0.5, 7, 3, False): (
-        ("0x1.9f034377e92f0p-5", "0x1.e666666666666p-1"),
-        ("0x1.94b22e068dc1bp+0", "0x1.160c8ec77fc57p+1", "0x1.160c8ec77fc57p+1"),
-        "residual minima: ii = 0.0288221, iii = 0.00281241; tolerance 1e-06; sampled "
-        "membership margin 0.0506607 at z = (0.8294402294973755+0.46317265214101416j)"),
+        ("0x1.1664000000000p-40", "0x1.fffffffffdcd1p-1"),
+        ("0x1.a7b2aa64a7c95p+0", "0x1.1a6487dabf81bp+1", "0x1.1a6487dabf81bp+1"),
+        "residual minima: ii = 5.35371e-07, iii = 1.07048e-12; tolerance 1e-06; sampled "
+        "membership margin 9.89042e-13 at z = (0.8760700941945305+0.4821837720786406j)"),
     (-0.9, 4, 2, True): (
-        ("0x1.69c65d111bfd0p-5", "0x1.e666666666666p-1"),
-        ("0x1.892a54771402cp-1", "0x1.6975b3d15e363p+0", "0x1.6975b3d15e363p+0"),
-        "residual minima: ii = 0.0296741, iii = 0.0028966; tolerance 1e-06; sampled "
-        "membership margin 0.044162 at z = (0.6840023825633126+0.6592728878451712j)"),
+        ("0x1.e560000000000p-41", "0x1.fffffffffdcd1p-1"),
+        ("0x1.a8bd5426ad7f2p-1", "0x1.785cb33dbe7a2p+0", "0x1.785cb33dbe7a2p+0"),
+        "residual minima: ii = 5.51648e-07, iii = 1.10334e-12; tolerance 1e-06; sampled "
+        "membership margin 8.62199e-13 at z = (0.7200025079606617+0.69397146088896j)"),
 }
 
 
@@ -280,13 +244,12 @@ def test_series_backed_scans_pinned():
 
 
 # (MarginReport.samples, pointwise calls) of the margin scan of each key below
-PINNED_SAMPLE_COUNTS = {(0.5, 7, 3, False): (8392, 201), (-0.9, 4, 2, True): (8272, 81),
+PINNED_SAMPLE_COUNTS = {(0.5, 7, 3, False): (8312, 8313), (-0.9, 4, 2, True): (8440, 8441),
                         "1 + z": (8312, 8313)}
 
 
 def test_scans_count_every_sample_but_the_grid_winner_rescore():
-    """A ring-scored grid counts each of its cells once, every pointwise
-    sample off the grid counts once, and the pointwise re-score of the grid
+    """Every sample counts once, and the pointwise re-score of the grid
     winner does not count; each witness is _point of its polar coordinates,
     bit for bit."""
     def bits(z):
@@ -295,22 +258,21 @@ def test_scans_count_every_sample_but_the_grid_winner_rescore():
     for key in PINNED_SAMPLE_COUNTS:
         calls = []
         if key == "1 + z":
-            ev, ring, r_limit = (lambda z: 1 + z), None, 1.0 - 1e-12
+            ev, r_limit = (lambda z: 1 + z), 1.0 - 1e-12
         else:
             aval, seed, degree, zero_f2 = key
             m = random_member(Alpha(aval), seed, degree, zero_second_deriv=zero_f2)
-            (ev, ring), r_limit = _field(m, 1), m.radius_limit
+            ev, r_limit = _field(m, 1)
 
         def g(z):
             calls.append(z)
             return ev(z)
-        rep = weighted_inf_re(g, PLAN, r_limit=r_limit, ring=ring)
-        grid = 0 if ring is None else PLAN.radial_count * PLAN.angular_count
-        assert rep.samples == grid + len(calls) - 1
+        rep = weighted_inf_re(g, PLAN, r_limit=r_limit)
+        assert rep.samples == len(calls) - 1
         assert bits(rep.witness) == bits(_point(rep.witness_r, rep.witness_theta))
         got[key] = (rep.samples, len(calls))
         for k in (1, 2):
-            est = weighted_sup(g, k, PLAN, r_limit=r_limit, ring=ring)
+            est = weighted_sup(g, k, PLAN, r_limit=r_limit)
             assert bits(est.witness) == bits(_point(est.witness_r, est.witness_theta))
     assert got == PINNED_SAMPLE_COUNTS
 

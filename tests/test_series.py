@@ -1,11 +1,10 @@
 """Series arithmetic: spec examples plus algebraic round-trip properties."""
 
-import cmath
 import hashlib
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from disknorms import (Alpha, DivisionBySingularSeries, OutsideGuardRadius, TaylorSeries,
                        random_member)
@@ -131,33 +130,9 @@ def test_eval_outside_guard_raises():
         s.eval(0.999)
 
 
-RING_MEMBERS = ((0.5, 3, 3, False), (-0.9, 11, 2, False), (1.1, 21, 1, True))
-
-
-@pytest.mark.parametrize("aval,seed,degree,zero_f2", RING_MEMBERS)
-def test_eval_ring_matches_horner(aval, seed, degree, zero_f2):
-    """Horner at each ring point is the oracle for the folded DFT."""
-    m = random_member(Alpha(aval), seed=seed, degree=degree, zero_second_deriv=zero_f2)
-    for s in (m.pre_schwarzian_series, m.schwarzian_series):
-        for n in (16, 24, 127, 128):
-            for r in (0.0, 0.5, 0.95):
-                ring = s.eval_ring(r, n)
-                assert len(ring) == n
-                for j, v in enumerate(ring):
-                    ref = s.eval(cmath.rect(r, 2 * math.pi * j / n))
-                    assert abs(v - ref) <= 1e-12 * max(1.0, abs(ref))
-
-
-def test_eval_ring_guards_match_horner():
-    s = geometric()
-    assert abs(s.eval_ring(0.95, 16)[0] - s.eval(0.95)) < 1e-12 * s.eval(0.95).real
-    with pytest.raises(OutsideGuardRadius):
-        s.eval_ring(0.96, 16)
-    huge = TaylorSeries([1e308] * 5)
+def test_eval_overflow_raises():
     with pytest.raises(NonFiniteValue):
-        huge.eval(0.9)
-    with pytest.raises(NonFiniteValue):
-        huge.eval_ring(0.9, 16)
+        TaylorSeries([1e308] * 5).eval(0.9)
 
 
 def test_constructor_rejects_bad_guard_and_nan():
@@ -304,10 +279,16 @@ def _coeff_scale(*series_list):
 
 @settings(max_examples=60, deadline=None)
 @given(a=_series(min_c0=0.5), b=_series(min_c0=0.5))
+# b has a zero at -0.45: the unscaled bound failed here with 1.17e-12
+@example(a=TaylorSeries([0.8125j] + [0.0] * 12), b=TaylorSeries([0.65582, 1.0, -1.0] + [0.0] * 10))
 def test_mul_div_roundtrip(a, b):
     prod = a * b
     back = prod / b
-    tol = 1e-12 * _coeff_scale(a, b, prod)
+    # the quotient's recursion carries each rounding error forward through
+    # the coefficients of 1/b, which grow geometrically when b has a zero
+    # inside the unit disk
+    inv = TaylorSeries.constant(1.0, b.order) / b
+    tol = 1e-12 * _coeff_scale(a, b, prod) * _coeff_scale(inv)
     for x, y in zip(back.coeffs, a.coeffs):
         assert abs(x - y) < tol
 

@@ -127,18 +127,35 @@ def test_norm_verifiers_deterministic():
         assert verify(m, a, PLAN, workers=1) == verify(m, a, PLAN, workers=3)
 
 
-def test_t41_ring_scans_match_pointwise_scans(monkeypatch):
-    """T41's residual scans give the same report without grid rings."""
-    from disknorms import derivatives
+def test_norm_verifiers_build_no_member_series():
+    """T43-T45 scan a member's exact fields and read f''(0) from its self-map,
+    so its Taylor series is built only when a pointwise value asks for it."""
     a = Alpha(0.5)
-    m = random_member(a, seed=7, degree=3)
-    with_rings = verify_T41(m, a, PLAN)
-    field = derivatives._field
-    monkeypatch.setattr(derivatives, "_field", lambda f, k: (field(f, k)[0], None))
-    assert verify_T41(m, a, PLAN) == with_rings
+    for zero_f2 in (False, True):
+        m = random_member(a, seed=7, degree=3, zero_second_deriv=zero_f2)
+        for verify in (verify_T43, verify_T44, verify_T45):
+            verify(m, a, PLAN)
+        assert "series" not in vars(m)
+    m.deriv123(0.5j)
+    assert "series" in vars(m)
 
 
-# -- T42 distortion --------------------------------------------------------------
+def test_t43_scans_a_member_past_the_guard_circle():
+    """Scanning the truncated series on |z| <= 0.95 gave 1.39121 here, with
+    the witness on the guard circle; the exact field reaches the boundary
+    ridge, and the estimate is the exact u at its witness."""
+    a = Alpha(-0.4400355213402305)
+    m = random_member(a, seed=1249907269, degree=1, zero_second_deriv=True)
+    rep = verify_T43(m, a, PLAN)
+    est = weighted_norm(m, 1, PLAN)
+    assert rep.estimate == est.value > 1.39121 + 0.05
+    assert est.witness_r > 0.95
+    w = est.witness
+    phi = m.provenance.phi(w)
+    b = cmath.exp(-1j * a.value) * a.cos
+    exact = (1 - abs(w) ** 2) * abs(2 * b * phi / (1 - w * phi))
+    assert abs(rep.estimate - exact) <= 1e-9
+
 
 def test_t42d_extremal_alpha0_upper_bound_attained_on_real_axis():
     a = Alpha(0.0)
