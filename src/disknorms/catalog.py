@@ -4,9 +4,10 @@ Closed-form entries (identity, half-plane map, Koebe, the extremal power
 families, Moebius maps, polynomials) report exact derivatives; series-backed
 entries differentiate their stored Taylor series.  A deterministic generator
 produces genuine members of the angle-alpha convexity class by choosing an
-analytic self-map phi = num/den of the disk as a Blaschke product.  Such a
-member's f''/f' and Schwarzian are rational functions of z, exact on the
-whole open disk (RationalField); its Taylor series, needed only for
+analytic self-map phi = num/den of the disk as a Blaschke product.  The
+closed forms the CLI builds and every generated member carry f''/f' and the
+Schwarzian as pre_schwarzian_field and schwarzian_field (RationalField),
+exact on the whole open disk; a member's Taylor series, needed only for
 pointwise values of f and its derivatives, is built on first use.
 """
 
@@ -120,6 +121,8 @@ class AnalyticFn:
 
     name = "analytic"
     is_normalized = True
+    # exact RationalFields of f''/f' and of the Schwarzian, where f has them
+    pre_schwarzian_field = schwarzian_field = None
 
     @property
     def radius_limit(self) -> float:
@@ -191,6 +194,7 @@ class AnalyticFn:
 
 class Identity(AnalyticFn):
     name = "identity"
+    pre_schwarzian_field = schwarzian_field = RationalField([0], [1])
 
     def _derivs(self, z):
         return z, 1.0 + 0j, 0j, 0j
@@ -206,6 +210,8 @@ class HalfPlane(AnalyticFn):
     """z / (1 - z): convex map of the disk onto a half-plane."""
 
     name = "halfplane"
+    pre_schwarzian_field = RationalField([2], [1, -1])
+    schwarzian_field = RationalField([0], [1])
 
     def _derivs(self, z):
         w = 1.0 - z
@@ -222,6 +228,8 @@ class Koebe(AnalyticFn):
     """z / (1 - z)^2: the rotation-free extremal of the univalent class."""
 
     name = "koebe"
+    pre_schwarzian_field = RationalField([4, 2], [1, 0, -1])
+    schwarzian_field = RationalField([-6], [1, 0, -1], power=2)
 
     def _derivs(self, z):
         w = 1.0 - z
@@ -297,6 +305,18 @@ class RobertsonExtremal(AnalyticFn):
     def second_deriv_origin(self):
         return 0j
 
+    @cached_property
+    def pre_schwarzian_field(self) -> RationalField:
+        """2c zeta^2 z/(1 - zeta^2 z^2), c = cos alpha."""
+        c, z2 = self.alpha.cos, self.zeta * self.zeta
+        return RationalField([0, 2 * c * z2], [1, 0, -z2])
+
+    @cached_property
+    def schwarzian_field(self) -> RationalField:
+        """2c zeta^2 (1 + (1 - c) zeta^2 z^2)/(1 - zeta^2 z^2)^2, c = cos alpha."""
+        c, z2 = self.alpha.cos, self.zeta * self.zeta
+        return RationalField([2 * c * z2, 0, 2 * c * (1 - c) * z2 * z2], [1, 0, -z2], power=2)
+
     def taylor(self, order=DEFAULT_ORDER, guard_radius=DEFAULT_GUARD_RADIUS):
         z2 = TaylorSeries.from_polynomial([1.0, 0.0, -self.zeta ** 2], order, guard_radius)
         return SeriesFn(z2.pow(complex(-self.alpha.cos)).integrate())
@@ -340,6 +360,17 @@ class SpiralPower(AnalyticFn):
 
     def second_deriv_origin(self):
         return self.exponent * self.zeta
+
+    @cached_property
+    def pre_schwarzian_field(self) -> RationalField:
+        """B zeta/(1 - zeta z), B = exponent."""
+        return RationalField([self.exponent * self.zeta], [1, -self.zeta])
+
+    @cached_property
+    def schwarzian_field(self) -> RationalField:
+        """B zeta^2 (1 - B/2)/(1 - zeta z)^2, B = exponent."""
+        b, zt = self.exponent, self.zeta
+        return RationalField([b * zt * zt * (1 - 0.5 * b)], [1, -zt], power=2)
 
     def taylor(self, order=DEFAULT_ORDER, guard_radius=DEFAULT_GUARD_RADIUS):
         base = TaylorSeries.from_polynomial([1.0, -self.zeta], order, guard_radius)

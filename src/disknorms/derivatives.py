@@ -3,20 +3,20 @@
 Two independent computation paths on purpose: pointwise values come from
 the derivative stack via f'''/f' - (3/2)(f''/f')^2, series values from
 P' - P^2/2 with P = f''/f' formed by series division.  The two routes act
-as mutual oracles in the test suite, and the series route checks the exact
-rational fields of generated members there too.
+as mutual oracles in the test suite, and they check the exact rational
+fields of closed forms and generated members there too.
 
-_field is the one place that picks, by function kind, how f''/f' and the
-Schwarzian are evaluated and up to which radius that evaluation is exact.
-A generated member's fields are its exact rational functions, so its scans
-cover the open disk, not a truncated series.  Every scan of them goes
-through weighted_norm (the weighted norms) or pre_schwarzian_inf_re (the
-infimum of a real-part functional of f''/f').
+_field is the one place that picks, by what f provides, how f''/f' and the
+Schwarzian are evaluated and up to which radius that is exact: its rational
+fields on the open disk, else its quotient series to the guard radius, else
+its guarded derivative stack.  Every scan goes through weighted_norm (the
+weighted norms) or pre_schwarzian_inf_re (the infimum of a real-part
+functional of f''/f').
 """
 
 from __future__ import annotations
 
-from .catalog import (CLOSED_FORM_CEILING, Alpha, AnalyticFn, DerivStack, GeneratedMember,
+from .catalog import (CLOSED_FORM_CEILING, Alpha, AnalyticFn, DerivStack, RobertsonExtremal,
                       SeriesFn)
 from .disksup import MarginReport, NormEstimate, SamplingPlan, weighted_inf_re, weighted_sup
 from .series import TaylorSeries
@@ -45,7 +45,7 @@ def schwarzian_at(f: AnalyticFn, z: complex) -> complex:
 
 
 def schwarzian_extremal_closed(alpha: Alpha, z: complex) -> complex:
-    """Closed-form Schwarzian of RobertsonExtremal(alpha):
+    """Closed-form Schwarzian of RobertsonExtremal(alpha), its schwarzian_field
     2 cos(alpha) (1 + (1 - cos alpha) z^2) / (1 - z^2)^2.
 
     For alpha != 0 that function is not a class member (see its docstring),
@@ -54,9 +54,7 @@ def schwarzian_extremal_closed(alpha: Alpha, z: complex) -> complex:
     z = complex(z)
     if abs(z) >= 1.0:
         raise ValueError(f"need |z| < 1, got {abs(z)}")
-    c = alpha.cos
-    g = 1.0 - z * z
-    return 2 * c * (1.0 + (1.0 - c) * z * z) / (g * g)
+    return RobertsonExtremal(alpha).schwarzian_field(z)
 
 
 def pre_schwarzian_series(f: SeriesFn) -> TaylorSeries:
@@ -73,14 +71,15 @@ def _field(f: AnalyticFn, k: int):
     """(evaluator, r_limit) of f''/f' (k = 1) or of the Schwarzian (k = 2):
     the pointwise evaluator and the radius up to which it is exact.
 
-    A generated member gives its exact rational field, up to
-    CLOSED_FORM_CEILING; another series-backed f gives its cached quotient
-    series' eval (one Horner pass per point), up to the series' guard radius;
-    a closed form gives the derivative-stack formula, up to its
-    radius_limit."""
-    if isinstance(f, GeneratedMember):
-        return (f.pre_schwarzian_field if k == 1 else f.schwarzian_field), CLOSED_FORM_CEILING
-    if isinstance(f, SeriesFn):
+    A function with rational fields gives them, up to CLOSED_FORM_CEILING;
+    one with derivative series (a SeriesFn) gives its cached quotient series'
+    eval, up to the series' guard radius; any other f (Polynomial, Moebius,
+    ZTimesDerivative, where f' may vanish or a pole may lie in the disk)
+    gives its guarded derivative-stack formula, up to its radius_limit."""
+    field = f.pre_schwarzian_field if k == 1 else f.schwarzian_field
+    if field is not None:
+        return field, CLOSED_FORM_CEILING
+    if hasattr(f, "derivative_series"):
         s = pre_schwarzian_series(f) if k == 1 else schwarzian_series(f)
         return s.eval, f.radius_limit
     at = pre_schwarzian_at if k == 1 else schwarzian_at

@@ -1,5 +1,5 @@
 """Pre-Schwarzian/Schwarzian values: closed forms, series route, exact
-member fields, invariances."""
+rational fields of closed forms and members, invariances."""
 
 import cmath
 import math
@@ -10,10 +10,11 @@ from hypothesis import given, settings, strategies as st
 from disknorms import (Alpha, DerivStack, HalfPlane, Identity, Koebe, Moebius,
                        Polynomial, RobertsonExtremal, SamplingPlan, SeriesFn, SpiralPower,
                        pre_schwarzian_at, pre_schwarzian_series, random_disk_points,
-                       random_member, schwarzian_at, schwarzian_extremal_closed,
-                       schwarzian_series)
-from disknorms.catalog import CLOSED_FORM_CEILING
+                       random_member, robertson_margin, schwarzian_at,
+                       schwarzian_extremal_closed, schwarzian_series)
+from disknorms.catalog import CLOSED_FORM_CEILING, AnalyticFn, ZTimesDerivative
 from disknorms.derivatives import _field, pre_schwarzian_of, schwarzian_of, weighted_norm
+from disknorms.theorems import verify_T41
 
 
 def test_pre_schwarzian_identity_zero():
@@ -229,3 +230,71 @@ def test_member_fields_match_self_map_near_the_circle():
             exact = exact_weighted_schwarzian(m, a, z)
             weighted = ((1 - r) * (1 + r)) ** 2 * abs(m.schwarzian_field(z))
             assert abs(weighted - exact) <= 1e-9 * max(1.0, exact)
+
+
+# -- exact fields of the closed forms --------------------------------------------
+
+def _closed_forms(a: Alpha, zeta: complex):
+    return (Identity(), HalfPlane(), Koebe(), RobertsonExtremal(a, zeta), SpiralPower(a, zeta))
+
+
+@settings(max_examples=60, deadline=None)
+@given(aval=st.floats(-1.5, 1.5), zeta_arg=st.floats(-math.pi, math.pi),
+       r=st.floats(0.0, 0.99), theta=st.floats(-math.pi, math.pi))
+def test_closed_form_fields_match_derivative_stacks(aval, zeta_arg, r, theta):
+    """Two paths: each closed form's rational f''/f' and S_f against the
+    derivative-stack formulas pre_schwarzian_at and schwarzian_at."""
+    z = cmath.rect(r, theta)
+    for fn in _closed_forms(Alpha(aval), cmath.exp(1j * zeta_arg)):
+        for field, at in ((fn.pre_schwarzian_field, pre_schwarzian_at),
+                          (fn.schwarzian_field, schwarzian_at)):
+            value = at(fn, z)
+            assert abs(field(z) - value) <= 1e-9 * max(1.0, abs(value))
+
+
+@pytest.mark.parametrize("aval", [0.0, 0.3, -0.7, 1.2, -1.4])
+def test_closed_form_norms_at_zeta_one_match_exact_values(aval):
+    """The scans reach the exact norms from below: 2c and 2c(2-c) for the
+    extremal, 4c and 8c|sin a| for the spiral power, 6 and 6 for Koebe,
+    4 and 0 for the half-plane map (c = cos a)."""
+    a = Alpha(aval)
+    c, s = a.cos, abs(math.sin(aval))
+    plan = SamplingPlan()
+    for fn, exact_norms in ((RobertsonExtremal(a), (2 * c, 2 * c * (2 - c))),
+                            (SpiralPower(a), (4 * c, 8 * c * s)),
+                            (Koebe(), (6.0, 6.0)), (HalfPlane(), (4.0, 0.0))):
+        for k, exact in zip((1, 2), exact_norms):
+            value = weighted_norm(fn, k, plan).value
+            assert exact - 1e-3 <= value <= exact + 1e-9, (fn.name, k)
+
+
+def test_field_picks_the_path_by_what_f_provides():
+    a, zeta = Alpha(0.6), cmath.exp(0.3j)
+    for fn in _closed_forms(a, zeta):
+        assert _field(fn, 1) == (fn.pre_schwarzian_field, CLOSED_FORM_CEILING)
+        assert _field(fn, 2) == (fn.schwarzian_field, CLOSED_FORM_CEILING)
+    z = 0.3 - 0.4j
+    for fn in (Polynomial((0, 1, 0.1)), Moebius(1, 0, 0.2, 1),
+               ZTimesDerivative(SpiralPower(a, zeta))):
+        assert fn.pre_schwarzian_field is None and fn.schwarzian_field is None
+        for k, at in ((1, pre_schwarzian_at), (2, schwarzian_at)):
+            point, r_limit = _field(fn, k)
+            assert r_limit == fn.radius_limit
+            assert point(z) == at(fn, z)
+
+
+def test_closed_form_scans_evaluate_no_derivative_stack(monkeypatch):
+    """Norm, margin and T41 residual scans of the closed forms evaluate their
+    rational fields only, never deriv123."""
+    def refuse(self, z):
+        raise AssertionError(f"{self.name}: deriv123({z!r}) called")
+    monkeypatch.setattr(AnalyticFn, "deriv123", refuse)
+    with pytest.raises(AssertionError):
+        pre_schwarzian_at(Koebe(), 0.5)
+    a, plan = Alpha(0.6), SamplingPlan()
+    for zeta in (1.0, cmath.exp(0.3j)):
+        for fn in _closed_forms(a, zeta):
+            for k in (1, 2):
+                weighted_norm(fn, k, plan)
+            robertson_margin(fn, a, plan)
+            verify_T41(fn, a, plan)

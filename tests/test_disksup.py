@@ -184,22 +184,22 @@ def test_ring_points_are_the_grid_points_bit_for_bit(m, r):
 
 
 # float.hex of (value, witness_r, witness_theta) of both norms at the default
-# plan, from the per-cell grid scan that ring-scored grids replaced
+# plan, scanned through the closed forms' exact rational fields
 PINNED_NORMS = {
-    ("robertson-extremal", 1): ("0x1.a68c09eca5c84p+0", "0x1.fff8556947170p-1", "0x1.7eec823a92819p+2"),
-    ("robertson-extremal", 2): ("0x1.f058756173c4ap+0", "0x1.ffe15313c90ebp-1", "0x1.6bb94ede4f971p+1"),
-    ("spiral-power", 1): ("0x1.a68a813dc0cc0p+1", "0x1.ffece497ac332p-1", "0x1.7eec821107cc5p+2"),
-    ("spiral-power", 2): ("0x1.dd2b52ae6d207p+1", "0x1.fff6724bd5001p-1", "0x1.7eec82110b798p+2"),
-    ("koebe", 1): ("0x1.7fffffffff734p+2", "0x1.fffffffffdcd1p-1", "0x0.0p+0"),
-    ("koebe", 2): ("0x1.8000000000016p+2", "0x1.f5b3517526259p-1", "0x0.0p+0"),
+    ("robertson-extremal", 1): ("0x1.a68c09eca5c86p+0", "0x1.fff8556947170p-1", "0x1.7eec823a92819p+2"),
+    ("robertson-extremal", 2): ("0x1.f058756172c19p+0", "0x1.ffe15313c90ebp-1", "0x1.7eec821149344p+2"),
+    ("spiral-power", 1): ("0x1.a68a813dc0ccap+1", "0x1.ffece497ac332p-1", "0x1.7eec821107cc5p+2"),
+    ("spiral-power", 2): ("0x1.dd2b52ae6d23ap+1", "0x1.fff6724bd5001p-1", "0x1.7eec82110b798p+2"),
+    ("koebe", 1): ("0x1.7ffffffffea02p+2", "0x1.fffffffffdcd1p-1", "0x0.0p+0"),
+    ("koebe", 2): ("0x1.800000000013fp+2", "0x1.ffae147adf5b2p-1", "0x0.0p+0"),
     ("halfplane", 1): ("0x1.fffffffffee68p+1", "0x1.fffffffffdcd1p-1", "0x0.0p+0"),
-    ("halfplane", 2): ("0x1.304ddc44a3f5ep-46", "0x1.a4eb48e79adadp-1", "0x1.8efb75d9ba4bep+2"),
+    ("halfplane", 2): ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
 }
 
 
 def test_closed_form_estimates_pinned():
-    """Closed forms scan their grid through pointwise rings; the estimates,
-    witnesses and margin stay those of the per-cell grid scan, bit for bit."""
+    """Closed forms scan their exact rational fields; the estimates, witnesses
+    and the margin stay bit for bit those of that path."""
     a, zeta = Alpha(0.6), cmath.exp(0.3j)
     got = {}
     for fn in (RobertsonExtremal(a, zeta), SpiralPower(a, zeta), Koebe(), HalfPlane()):
@@ -209,7 +209,7 @@ def test_closed_form_estimates_pinned():
     assert got == PINNED_NORMS
     rep = robertson_margin(SpiralPower(a), a, PLAN)
     assert (rep.inf_value.hex(), rep.witness_r.hex(), rep.witness_theta.hex(), rep.samples) == (
-        "0x1.d030000000000p-42", "0x1.fffffffffdcd1p-1", "0x1.93b1d4f987145p+1", 8352)
+        "0x1.d080000000000p-42", "0x1.fffffffffdcd1p-1", "0x1.921fb54442d18p+1", 8312)
 
 
 # float.hex of the margin's (inf_value, witness_r), of the T43/T44/T45
