@@ -484,14 +484,6 @@ class SeriesFn(AnalyticFn):
     def _derivs123(self, z):
         return self._d1.eval(z), self._d2.eval(z), self._d3.eval(z)
 
-    def fprime(self, z: complex) -> complex:
-        """f' alone, with the guards of deriv123."""
-        z = self._check_radius(z)
-        f1 = self._d1.eval(z)
-        if not (cmath.isfinite(f1) and abs(f1) > VANISHING_DERIVATIVE_EPS):
-            self._refuse(z, (f1,), f1)
-        return f1
-
     def _fourth(self, z):
         return self._d4.eval(z)
 
@@ -606,9 +598,8 @@ class GeneratedMember(SeriesFn):
     built on first use and trusted up to its guard radius (radius_limit).
     """
 
-    def __init__(self, provenance: MemberProvenance, order: int, guard_radius: float):
+    def __init__(self, provenance: MemberProvenance):
         self.provenance = provenance
-        self._order, self._guard_radius = order, guard_radius
         alpha = provenance.alpha
         self._two_b = 2 * (cmath.exp(-1j * alpha.value) * alpha.cos)
         num, den = [1.0 + 0j], [1.0 + 0j]
@@ -623,23 +614,14 @@ class GeneratedMember(SeriesFn):
 
     @property
     def radius_limit(self) -> float:
-        return self._guard_radius
+        return DEFAULT_GUARD_RADIUS
 
     @cached_property
     def series(self) -> TaylorSeries:
-        """Integrates f''/f' = 2b phi/(1 - z phi) at series level:
-        f' = exp(integral), f = integral of f'."""
-        order, guard_radius = self._order, self._guard_radius
-        num = TaylorSeries.from_polynomial([1.0], order, guard_radius)
-        den = TaylorSeries.from_polynomial([1.0], order, guard_radius)
-        for a in self.provenance.blaschke_zeros:
-            num = num * TaylorSeries.from_polynomial([a, 1.0], order, guard_radius)
-            den = den * TaylorSeries.from_polynomial([1.0, a.conjugate()], order, guard_radius)
-        phi = num / den
-        if self.provenance.zero_second_deriv:
-            phi = phi.shift_up()
-        one = TaylorSeries.constant(1.0, order, guard_radius)
-        q = phi.scale(self._two_b) / (one - phi.shift_up())
+        """Integrates f''/f' = 2b num/(den - z num) at series level: one
+        quotient of polynomials, f' = exp(integral), f = integral of f'."""
+        q = (TaylorSeries.from_polynomial([self._two_b * c for c in self._num])
+             / TaylorSeries.from_polynomial(self._pole_factor))
         return q.integrate().exp().integrate()
 
     @cached_property
@@ -660,9 +642,7 @@ class GeneratedMember(SeriesFn):
 
 
 def random_member(alpha: Alpha, seed: int, degree: int = 3,
-                  zero_second_deriv: bool = False,
-                  order: int = DEFAULT_ORDER,
-                  guard_radius: float = DEFAULT_GUARD_RADIUS) -> GeneratedMember:
+                  zero_second_deriv: bool = False) -> GeneratedMember:
     """Deterministic member of the class for the given angle.
 
     Draws 'degree' Blaschke factors (z + a)/(1 + conj(a) z) with |a| <= 0.8
@@ -684,4 +664,4 @@ def random_member(alpha: Alpha, seed: int, degree: int = 3,
     zeros = tuple(zeros)
     gamma = 0.0 if zero_second_deriv else abs(complex(math.prod(zeros)))
     prov = MemberProvenance(alpha, seed, degree, zero_second_deriv, zeros, gamma)
-    return GeneratedMember(prov, order, guard_radius)
+    return GeneratedMember(prov)

