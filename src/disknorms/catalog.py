@@ -1,8 +1,11 @@
-"""Catalog of analytic functions on the unit disk behind one evaluation interface.
+"""Catalog of analytic functions on the unit disk behind one guarded jet.
 
-Closed-form entries (identity, half-plane map, Koebe, the extremal power
-families, Moebius maps, polynomials) report exact derivatives; series-backed
-entries differentiate their stored Taylor series.  A deterministic generator
+Each entry gives its k-th derivative, unguarded, as _derivative(z, k):
+closed-form entries (identity, half-plane map, Koebe, the extremal power
+families, Moebius maps, polynomials) by exact formulas, series-backed
+entries from their termwise derivative series.  AnalyticFn.jet(z, lo, hi)
+returns the orders lo..hi and nothing more, and it alone applies the radius,
+finiteness and local-univalence guards.  A deterministic generator
 produces genuine members of the angle-alpha convexity class by choosing an
 analytic self-map phi = num/den of the disk as a Blaschke product.  The
 closed forms the CLI builds and every generated member carry f''/f' and the
@@ -73,6 +76,8 @@ class RationalField:
     __slots__ = ("num", "den", "power")
 
     def __init__(self, num: Sequence[complex], den: Sequence[complex], power: int = 1):
+        if power not in (1, 2):
+            raise ValueError(f"RationalField power must be 1 or 2, got {power!r}")
         # coefficients come lowest degree first and are kept highest first
         self.num = tuple(complex(c) for c in reversed(num))
         self.den = tuple(complex(c) for c in reversed(den))
@@ -117,7 +122,11 @@ def _unimodular(zeta: complex) -> complex:
 
 
 class AnalyticFn:
-    """Base class: immutable analytic function with derivative reporting."""
+    """Base class: immutable analytic function behind one guarded jet.
+
+    A subclass gives the unguarded k-th derivative as _derivative(z, k);
+    jet applies every guard once, for every order it returns.
+    """
 
     name = "analytic"
     is_normalized = True
@@ -129,63 +138,42 @@ class AnalyticFn:
         """Largest radius at which evaluation is allowed."""
         return CLOSED_FORM_CEILING
 
-    def _check_radius(self, z: complex) -> complex:
+    def jet(self, z: complex, lo: int = 0, hi: int = 3) -> tuple[complex, ...]:
+        """(f^(lo)(z), ..., f^(hi)(z)), computing only those orders.
+
+        Raises OutsideGuardRadius beyond radius_limit, NonFiniteValue when a
+        value is not finite (a division by zero or an overflow included), and
+        VanishingDerivative when f' is among the orders and |f'(z)| is at most
+        VANISHING_DERIVATIVE_EPS, which breaks local univalence.
+        """
         z = complex(z)
         if abs(z) > self.radius_limit + GUARD_SLACK:
             raise OutsideGuardRadius(
                 f"{self.name}: |z| = {abs(z):.6g} exceeds limit {self.radius_limit}")
-        return z
-
-    def _refuse(self, z: complex, values, f1: complex) -> None:
-        if not all(map(cmath.isfinite, values)):
+        try:
+            values = tuple(self._derivative(z, k) for k in range(lo, hi + 1))
+            finite = all(map(cmath.isfinite, values))
+        except (ZeroDivisionError, OverflowError):
+            finite = False
+        if not finite:
             raise NonFiniteValue(f"{self.name}: non-finite derivative at {z!r}")
-        raise VanishingDerivative(
-            f"{self.name}: |f'({z!r})| = {abs(f1):.3g} breaks local univalence")
+        if lo <= 1 <= hi and abs(values[1 - lo]) <= VANISHING_DERIVATIVE_EPS:
+            raise VanishingDerivative(
+                f"{self.name}: |f'({z!r})| = {abs(values[1 - lo]):.3g} breaks local univalence")
+        return values
+
+    def _derivative(self, z: complex, k: int) -> complex:
+        """f^(k)(z), unguarded."""
+        raise NotImplementedError(f"{self.name}: no derivative of order {k} implemented")
 
     def derivatives(self, z: complex) -> DerivStack:
-        z = self._check_radius(z)
-        f, f1, f2, f3 = values = self._derivs(z)
-        if not (cmath.isfinite(f) and cmath.isfinite(f1) and cmath.isfinite(f2)
-                and cmath.isfinite(f3) and abs(f1) > VANISHING_DERIVATIVE_EPS):
-            self._refuse(z, values, f1)
-        return DerivStack(f, f1, f2, f3)
-
-    def deriv123(self, z: complex) -> tuple[complex, complex, complex]:
-        """(f', f'', f''') with the same guards but skipping the value of f
-        (which may need quadrature for integral-defined catalog entries)."""
-        z = self._check_radius(z)
-        f1, f2, f3 = values = self._derivs123(z)
-        if not (cmath.isfinite(f1) and cmath.isfinite(f2) and cmath.isfinite(f3)
-                and abs(f1) > VANISHING_DERIVATIVE_EPS):
-            self._refuse(z, values, f1)
-        return f1, f2, f3
-
-    def _derivs123(self, z: complex) -> tuple[complex, complex, complex]:
-        _, f1, f2, f3 = self._derivs(z)
-        return f1, f2, f3
+        return DerivStack(*self.jet(z))
 
     def value(self, z: complex) -> complex:
-        return self.derivatives(z).f
-
-    def fourth_derivative(self, z: complex) -> complex:
-        """f'''' with the radius guard of deriv123 and a finiteness guard."""
-        z = self._check_radius(z)
-        try:
-            f4 = self._fourth(z)
-            if cmath.isfinite(f4):
-                return f4
-        except (ZeroDivisionError, OverflowError):
-            pass
-        raise NonFiniteValue(f"{self.name}: non-finite fourth derivative at {z!r}")
-
-    def _fourth(self, z: complex) -> complex:
-        raise NotImplementedError(f"{self.name}: no fourth derivative implemented")
+        return self.jet(z, 0, 0)[0]
 
     def second_deriv_origin(self) -> complex:
-        return self.derivatives(0j).f2
-
-    def _derivs(self, z: complex) -> tuple[complex, complex, complex, complex]:
-        raise NotImplementedError
+        return self.jet(0j, 2, 2)[0]
 
     def taylor(self, order: int = DEFAULT_ORDER,
                guard_radius: float = DEFAULT_GUARD_RADIUS) -> "SeriesFn":
@@ -196,11 +184,8 @@ class Identity(AnalyticFn):
     name = "identity"
     pre_schwarzian_field = schwarzian_field = RationalField([0], [1])
 
-    def _derivs(self, z):
-        return z, 1.0 + 0j, 0j, 0j
-
-    def _fourth(self, z):
-        return 0j
+    def _derivative(self, z, k):
+        return (z, 1.0 + 0j)[k] if k < 2 else 0j
 
     def taylor(self, order=DEFAULT_ORDER, guard_radius=DEFAULT_GUARD_RADIUS):
         return SeriesFn(TaylorSeries.from_polynomial([0, 1], order, guard_radius))
@@ -213,12 +198,10 @@ class HalfPlane(AnalyticFn):
     pre_schwarzian_field = RationalField([2], [1, -1])
     schwarzian_field = RationalField([0], [1])
 
-    def _derivs(self, z):
+    def _derivative(self, z, k):
+        """f^(k) = k!/(1 - z)^(k+1) for k >= 1."""
         w = 1.0 - z
-        return z / w, w ** -2, 2 * w ** -3, 6 * w ** -4
-
-    def _fourth(self, z):
-        return 24 * (1.0 - z) ** -5
+        return z / w if k == 0 else math.factorial(k) * w ** -(k + 1)
 
     def taylor(self, order=DEFAULT_ORDER, guard_radius=DEFAULT_GUARD_RADIUS):
         return SeriesFn(TaylorSeries([0.0] + [1.0] * order, guard_radius))
@@ -231,13 +214,11 @@ class Koebe(AnalyticFn):
     pre_schwarzian_field = RationalField([4, 2], [1, 0, -1])
     schwarzian_field = RationalField([-6], [1, 0, -1], power=2)
 
-    def _derivs(self, z):
-        w = 1.0 - z
-        return (z * w ** -2, (1 + z) * w ** -3,
-                (4 + 2 * z) * w ** -4, (18 + 6 * z) * w ** -5)
-
-    def _fourth(self, z):
-        return (96 + 24 * z) * (1.0 - z) ** -6
+    def _derivative(self, z, k):
+        """f^(k) = k!(k + z)/(1 - z)^(k+2); the numerator is expanded to
+        k k! + k! z so that it rounds as 4 + 2z, 18 + 6z, ... do."""
+        fact = math.factorial(k)
+        return (k * fact + fact * z) * (1.0 - z) ** -(k + 2)
 
     def taylor(self, order=DEFAULT_ORDER, guard_radius=DEFAULT_GUARD_RADIUS):
         return SeriesFn(TaylorSeries([float(n) for n in range(order + 1)], guard_radius))
@@ -272,38 +253,26 @@ class RobertsonExtremal(AnalyticFn):
         # principal branch; 1 - w^2 has positive real part for |w| < 1
         return cmath.exp(-self.alpha.cos * cmath.log(1.0 - w * w))
 
-    def _derivs123(self, z):
-        c = self.alpha.cos
+    def _derivative(self, z, k):
         zt = self.zeta
         w = zt * z
-        g = 1.0 - w * w
-        fp = self._fprime_base(w)
-        f2 = zt * 2 * c * w * fp / g
-        f3 = zt * zt * 2 * c * (1 + (2 * c + 1) * w * w) * fp / (g * g)
-        return fp, f2, f3
-
-    def _derivs(self, z):
-        f1, f2, f3 = self._derivs123(z)
-        return self.value(z), f1, f2, f3
-
-    def _fourth(self, z):
+        if k == 0:
+            if z == 0:
+                return 0j
+            integral = quadrature_complex(lambda t: self._fprime_base(t * w), 0.0, 1.0, 1e-12)
+            return zt.conjugate() * w * integral
         c = self.alpha.cos
-        zt = self.zeta
-        w = zt * z
         g = 1.0 - w * w
         fp = self._fprime_base(w)
-        return zt ** 3 * 4 * c * (c + 1) * w * (3 + (2 * c + 1) * w * w) * fp / (g * g * g)
-
-    def value(self, z):
-        z = self._check_radius(z)
-        if z == 0:
-            return 0j
-        w = self.zeta * z
-        integral = quadrature_complex(lambda t: self._fprime_base(t * w), 0.0, 1.0, 1e-12)
-        return self.zeta.conjugate() * w * integral
-
-    def second_deriv_origin(self):
-        return 0j
+        if k == 1:
+            return fp
+        if k == 2:
+            return zt * 2 * c * w * fp / g
+        if k == 3:
+            return zt * zt * 2 * c * (1 + (2 * c + 1) * w * w) * fp / (g * g)
+        if k == 4:
+            return zt ** 3 * 4 * c * (c + 1) * w * (3 + (2 * c + 1) * w * w) * fp / (g * g * g)
+        return super()._derivative(z, k)
 
     @cached_property
     def pre_schwarzian_field(self) -> RationalField:
@@ -340,26 +309,18 @@ class SpiralPower(AnalyticFn):
     def exponent(self) -> complex:
         return 2 * cmath.exp(-1j * self.alpha.value) * self.alpha.cos
 
-    def _derivs123(self, z):
-        b = self.exponent
-        zt = self.zeta
+    def _derivative(self, z, k):
+        """f^(k) = B(B+1)...(B+k-2) zeta^(k-1) (1 - zeta z)^(-(B+k-1)) for k >= 1,
+        B = exponent, and f = ((1 - zeta z)^(1-B) - 1)/(zeta (B - 1))."""
+        b, zt = self.exponent, self.zeta
         logw = cmath.log(1.0 - zt * z)
-        return (cmath.exp(-b * logw), b * zt * cmath.exp(-(b + 1) * logw),
-                b * (b + 1) * zt * zt * cmath.exp(-(b + 2) * logw))
-
-    def _derivs(self, z):
-        b = self.exponent
-        # primitive in closed form; exponent 1 - b never vanishes for |alpha| < pi/2
-        f = (cmath.exp((1 - b) * cmath.log(1.0 - self.zeta * z)) - 1.0) / (self.zeta * (b - 1))
-        return (f, *self._derivs123(z))
-
-    def _fourth(self, z):
-        b = self.exponent
-        w = 1.0 - self.zeta * z
-        return b * (b + 1) * (b + 2) * self.zeta ** 3 * cmath.exp(-(b + 3) * cmath.log(w))
-
-    def second_deriv_origin(self):
-        return self.exponent * self.zeta
+        if k == 0:
+            # exponent 1 - B never vanishes for |alpha| < pi/2
+            return (cmath.exp((1 - b) * logw) - 1.0) / (zt * (b - 1))
+        rising = 1
+        for j in range(k - 1):
+            rising *= b + j
+        return rising * zt ** (k - 1) * cmath.exp(-(b + (k - 1)) * logw)
 
     @cached_property
     def pre_schwarzian_field(self) -> RationalField:
@@ -396,18 +357,15 @@ class Moebius(AnalyticFn):
     def name(self):
         return "moebius"
 
-    def _derivs(self, z):
-        det = self.a * self.d - self.b * self.c
+    def _derivative(self, z, k):
+        """f^(k) = k! (-c)^(k-1) (ad - bc)/(c z + d)^(k+1) for k >= 1."""
         w = self.c * z + self.d
         if abs(w) <= 1e-14:
             raise NonFiniteValue(f"moebius: pole at z = {z!r}")
-        return ((self.a * z + self.b) / w, det / w ** 2,
-                -2 * self.c * det / w ** 3, 6 * self.c ** 2 * det / w ** 4)
-
-    def _fourth(self, z):
+        if k == 0:
+            return (self.a * z + self.b) / w
         det = self.a * self.d - self.b * self.c
-        w = self.c * z + self.d
-        return -24 * self.c ** 3 * det / w ** 5
+        return math.factorial(k) * (-self.c) ** (k - 1) * det / w ** (k + 1)
 
     def taylor(self, order=DEFAULT_ORDER, guard_radius=DEFAULT_GUARD_RADIUS):
         num = TaylorSeries.from_polynomial([self.b, self.a], order, guard_radius)
@@ -431,22 +389,13 @@ class Polynomial(AnalyticFn):
         cs = self.coeffs
         return abs(cs[0]) == 0 and len(cs) > 1 and cs[1] == 1
 
-    def _derivs(self, z):
-        out = []
-        for k in range(4):
-            acc = 0j
-            for n in range(len(self.coeffs) - 1, k - 1, -1):
-                fall = 1.0
-                for j in range(k):
-                    fall *= n - j
-                acc = acc * z + fall * self.coeffs[n]
-            out.append(acc)
-        return tuple(out)
-
-    def _fourth(self, z):
+    def _derivative(self, z, k):
         acc = 0j
-        for n in range(len(self.coeffs) - 1, 3, -1):
-            acc = acc * z + n * (n - 1) * (n - 2) * (n - 3) * self.coeffs[n]
+        for n in range(len(self.coeffs) - 1, k - 1, -1):
+            fall = 1.0
+            for j in range(k):
+                fall *= n - j
+            acc = acc * z + fall * self.coeffs[n]
         return acc
 
     def taylor(self, order=DEFAULT_ORDER, guard_radius=DEFAULT_GUARD_RADIUS):
@@ -457,9 +406,9 @@ class Polynomial(AnalyticFn):
 class SeriesFn(AnalyticFn):
     """Analytic function backed by a truncated Taylor series of f itself.
 
-    The first three derivative series (termwise differentiation, exact to
-    truncation), the fourth-derivative, pre-Schwarzian and Schwarzian series
-    are built on first use and cached.
+    The derivative series (termwise differentiation, exact to truncation)
+    are built on first use, each order once, as far as jet asks; so are the
+    pre-Schwarzian and Schwarzian series.
     """
 
     def __init__(self, series: TaylorSeries, require_normalized: bool = True):
@@ -477,51 +426,37 @@ class SeriesFn(AnalyticFn):
     def radius_limit(self) -> float:
         return self.series.guard_radius
 
-    def _derivs(self, z):
-        return (self.series.eval(z), self._d1.eval(z),
-                self._d2.eval(z), self._d3.eval(z))
+    @cached_property
+    def _diffs(self) -> list[TaylorSeries]:
+        """[f, f', f'', ...] as series, grown by _diff."""
+        return [self.series]
 
-    def _derivs123(self, z):
-        return self._d1.eval(z), self._d2.eval(z), self._d3.eval(z)
+    def _diff(self, k: int) -> TaylorSeries:
+        """Series of f^(k), built once."""
+        diffs = self._diffs
+        while len(diffs) <= k:
+            diffs.append(diffs[-1].diff())
+        return diffs[k]
 
-    def _fourth(self, z):
-        return self._d4.eval(z)
+    def _derivative(self, z, k):
+        return self._diff(k).eval(z)
 
     def derivative_series(self) -> tuple[TaylorSeries, TaylorSeries, TaylorSeries]:
-        return self._d1, self._d2, self._d3
-
-    @cached_property
-    def _d1(self) -> TaylorSeries:
-        return self.series.diff()
-
-    @cached_property
-    def _d2(self) -> TaylorSeries:
-        return self._d1.diff()
-
-    @cached_property
-    def _d3(self) -> TaylorSeries:
-        return self._d2.diff()
-
-    @cached_property
-    def _d4(self) -> TaylorSeries:
-        """Series of the fourth derivative, for fourth_derivative."""
-        return self._d3.diff()
+        return self._diff(1), self._diff(2), self._diff(3)
 
     @cached_property
     def pre_schwarzian_series(self) -> TaylorSeries:
         """Series of f''/f' by series division; requires |f'(0)| = 1."""
-        if abs(abs(self._d1.coeffs[0]) - 1.0) > 1e-9:
+        d1 = self._diff(1)
+        if abs(abs(d1.coeffs[0]) - 1.0) > 1e-9:
             raise ValueError("pre_schwarzian_series expects a normalized series")
-        return self._d2 / self._d1
+        return self._diff(2) / d1
 
     @cached_property
     def schwarzian_series(self) -> TaylorSeries:
         """Series of P' - P^2/2 with P = f''/f'."""
         p = self.pre_schwarzian_series
         return p.diff() - (p * p).scale(0.5)
-
-    def second_deriv_origin(self):
-        return self._d2.coeffs[0]
 
     def taylor(self, order=DEFAULT_ORDER, guard_radius=DEFAULT_GUARD_RADIUS):
         return self
@@ -531,7 +466,10 @@ class ZTimesDerivative(AnalyticFn):
     """g(z) = z f'(z); normalized whenever f is.
 
     Used for the duality transfer between the convexity-type and
-    spirallikeness-type margins: z g'/g = 1 + z f''/f' identically.
+    spirallikeness-type margins: z g'/g = 1 + z f''/f' identically.  Each
+    derivative g^(k) = k f^(k) + z f^(k+1) comes from the base's guarded jet,
+    so g needs neither the value of f nor more orders of f than it returns
+    plus one.
     """
 
     def __init__(self, base: AnalyticFn):
@@ -546,10 +484,11 @@ class ZTimesDerivative(AnalyticFn):
     def radius_limit(self):
         return self.base.radius_limit
 
-    def _derivs(self, z):
-        f1, f2, f3 = self.base.deriv123(z)
-        f4 = self.base.fourth_derivative(z)
-        return (z * f1, f1 + z * f2, 2 * f2 + z * f3, 3 * f3 + z * f4)
+    def _derivative(self, z, k):
+        if k == 0:
+            return z * self.base.jet(z, 1, 1)[0]
+        fk, fk1 = self.base.jet(z, k, k + 1)
+        return k * fk + z * fk1
 
 
 def eval_derivatives(f: AnalyticFn, z: complex) -> DerivStack:

@@ -1,17 +1,17 @@
 """Pointwise and series-level pre-Schwarzian and Schwarzian derivatives.
 
 Two independent computation paths on purpose: pointwise values come from
-the derivative stack via f'''/f' - (3/2)(f''/f')^2, series values from
-P' - P^2/2 with P = f''/f' formed by series division.  The two routes act
-as mutual oracles in the test suite, and they check the exact rational
-fields of closed forms and generated members there too.
+the one guarded jet, f.jet(z, 1, 3), via f'''/f' - (3/2)(f''/f')^2, series
+values from P' - P^2/2 with P = f''/f' formed by series division.  The two
+routes act as mutual oracles in the test suite, and they check the exact
+rational fields of closed forms and generated members there too.
 
 _field is the one place that picks, by what f provides, how f''/f' and the
 Schwarzian are evaluated and up to which radius that is exact: its rational
 fields on the open disk, else its quotient series to the guard radius, else
-its guarded derivative stack.  Every scan goes through weighted_norm (the
-weighted norms) or pre_schwarzian_inf_re (the infimum of a real-part
-functional of f''/f').
+its guarded jet.  Every scan goes through weighted_norm (the weighted
+norms) or pre_schwarzian_inf_re (the infimum of a real-part functional of
+f''/f').
 """
 
 from __future__ import annotations
@@ -33,13 +33,13 @@ def schwarzian_of(stack: DerivStack) -> complex:
 
 def pre_schwarzian_at(f: AnalyticFn, z: complex) -> complex:
     """f''(z) / f'(z)."""
-    f1, f2, _ = f.deriv123(z)
+    f1, f2 = f.jet(z, 1, 2)
     return f2 / f1
 
 
 def schwarzian_at(f: AnalyticFn, z: complex) -> complex:
     """f'''/f' - (3/2)(f''/f')^2."""
-    f1, f2, f3 = f.deriv123(z)
+    f1, f2, f3 = f.jet(z, 1, 3)
     p = f2 / f1
     return f3 / f1 - 1.5 * p * p
 
@@ -75,7 +75,7 @@ def _field(f: AnalyticFn, k: int):
     one with derivative series (a SeriesFn) gives its cached quotient series'
     eval, up to the series' guard radius; any other f (Polynomial, Moebius,
     ZTimesDerivative, where f' may vanish or a pole may lie in the disk)
-    gives its guarded derivative-stack formula, up to its radius_limit."""
+    gives its formula over the guarded jet, up to its radius_limit."""
     field = f.pre_schwarzian_field if k == 1 else f.schwarzian_field
     if field is not None:
         return field, CLOSED_FORM_CEILING

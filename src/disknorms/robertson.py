@@ -69,10 +69,10 @@ def spirallike_margin(g: AnalyticFn, alpha: Alpha, plan: SamplingPlan,
     def h(z: complex) -> complex:
         if z == 0:
             return phase
-        d = g.derivatives(z)
-        if abs(d.f) <= ZERO_VALUE_EPS:
+        g0, g1 = g.jet(z, 0, 1)
+        if abs(g0) <= ZERO_VALUE_EPS:
             raise ZeroValueEncountered(f"{g.name}: g({z!r}) is numerically zero")
-        return phase * z * d.f1 / d.f
+        return phase * z * g1 / g0
 
     return weighted_inf_re(h, plan, r_limit=g.radius_limit)
 
@@ -88,10 +88,10 @@ def duality_check(f: AnalyticFn, alpha: Alpha, points: Sequence[complex]) -> flo
     for z in points:
         if z == 0:
             continue
-        d = f.derivatives(z)
-        lhs = phase * (1.0 + z * d.f2 / d.f1)
-        g = z * d.f1
-        g1 = d.f1 + z * d.f2
+        f1, f2 = f.jet(z, 1, 2)
+        lhs = phase * (1.0 + z * f2 / f1)
+        g = z * f1
+        g1 = f1 + z * f2
         rhs = phase * z * g1 / g
         worst = max(worst, abs(lhs - rhs))
     return worst

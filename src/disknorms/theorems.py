@@ -179,7 +179,7 @@ def verify_T42_distortion(f: AnalyticFn, alpha: Alpha, points: Sequence[complex]
         return (1.0 + r2) ** -c, (1.0 - r2) ** -c
 
     return _pointwise_bound_report("T42d", "distortion", f, alpha, points, tol, plan,
-                                   lambda z: abs(f.deriv123(z)[0]), bounds)
+                                   lambda z: abs(f.jet(z, 1, 1)[0]), bounds)
 
 
 def verify_T42_growth(f: AnalyticFn, alpha: Alpha, points: Sequence[complex],

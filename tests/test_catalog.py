@@ -5,8 +5,8 @@ import math
 
 import pytest
 
-from disknorms import (Alpha, HalfPlane, Identity, Koebe, Moebius, Polynomial,
-                       RobertsonExtremal, SeriesFn, SpiralPower, TaylorSeries,
+from disknorms import (Alpha, AnalyticFn, HalfPlane, Identity, Koebe, Moebius, Polynomial,
+                       RationalField, RobertsonExtremal, SeriesFn, SpiralPower, TaylorSeries,
                        NonFiniteValue, OutsideGuardRadius, VanishingDerivative, eval_derivatives,
                        quadrature_complex, random_disk_points, random_member,
                        second_deriv_origin)
@@ -76,35 +76,61 @@ def test_fourth_derivative_oracle(fn):
         return
     for z in random_disk_points(25, seed=11, radius=0.85):
         fd4 = central_diff(lambda w: fn.derivatives(w).f3, z)
-        f4 = fn.fourth_derivative(z)
+        f4 = fn.jet(z, 4, 4)[0]
         assert abs(fd4 - f4) <= 1e-4 * max(1.0, abs(f4))
 
 
-def test_fourth_derivative_guards_like_deriv123():
-    """Outside the guard radius and at a pole, fourth_derivative raises the
-    errors deriv123 raises there instead of returning a value."""
+def test_jet_guards_every_order():
+    """Outside the guard radius and at a pole, jet raises for every order
+    instead of returning a value."""
     poly = Polynomial((0, 1, 0, 0, 0, 1))
-    with pytest.raises(OutsideGuardRadius):
-        poly.deriv123(2.0)
-    for fn, z in ((Identity(), 5), (poly, 2.0)):
-        with pytest.raises(OutsideGuardRadius):
-            fn.fourth_derivative(z)
     pole = Moebius(1, 0, -2, 1)
-    for call in (pole.deriv123, pole.fourth_derivative):
+    for lo, hi in ((1, 3), (4, 4), (0, 0)):
+        for fn, z in ((Identity(), 5), (poly, 2.0)):
+            with pytest.raises(OutsideGuardRadius):
+                fn.jet(z, lo, hi)
         with pytest.raises(NonFiniteValue):
-            call(0.5)
+            pole.jet(0.5, lo, hi)
+
+
+def test_jet_reports_division_by_zero_and_overflow_as_non_finite():
+    """A subclass gives only the unguarded _derivative; a division by zero or
+    an overflow in it reaches the caller as NonFiniteValue, for every order."""
+    class Pole(AnalyticFn):
+        name = "pole"
+
+        def _derivative(self, z, k):
+            return (-1) ** k * math.factorial(k) / (z - 0.5) ** (k + 1)
+
+    assert Pole().jet(0j, 0, 1) == (-2, -4)
+    for lo, hi in ((0, 0), (1, 3), (4, 4)):
+        with pytest.raises(NonFiniteValue):
+            Pole().jet(0.5, lo, hi)
+    with pytest.raises(NonFiniteValue):
+        HalfPlane().jet(0.5, 200, 200)  # 200! does not fit a float
+
+
+def test_rational_field_takes_power_one_or_two_only():
+    """num/den^power is evaluated for power 1 and 2 only, so any other power
+    is refused instead of being evaluated as 2."""
+    assert RationalField([1], [1, -1])(0.5) == 2
+    assert RationalField([1], [1, -1], power=2)(0.5) == 4
+    for power in (0, 3, -1):
+        with pytest.raises(ValueError, match="power"):
+            RationalField([1], [1, -1], power=power)
 
 
 def test_series_fourth_derivative_series_built_once():
-    """fourth_derivative evaluates one cached series, bit for bit the
-    rebuilt d3.diff(), and the spirallike margin of z f' is pinned."""
+    """jet(z, 4, 4) evaluates one cached series, bit for bit the rebuilt
+    third-derivative series' diff(), and the spirallike margin of z f' is
+    pinned."""
     from disknorms import SamplingPlan, spirallike_margin
     from disknorms.catalog import ZTimesDerivative
     m = random_member(Alpha(0.4), 3, 2, True)
     for z in random_disk_points(25, seed=19, radius=0.95):
-        f4, ref = m.fourth_derivative(z), m._d3.diff().eval(z)
+        (f4,), ref = m.jet(z, 4, 4), m._diff(3).diff().eval(z)
         assert (f4.real.hex(), f4.imag.hex()) == (ref.real.hex(), ref.imag.hex())
-    assert m._d4 is m._d4
+    assert m._diff(4) is m._diff(4)
     rep = spirallike_margin(ZTimesDerivative(m), Alpha(0.4),
                             SamplingPlan(radial_count=16, angular_count=32))
     assert (rep.inf_value.hex(), rep.witness_r.hex(), rep.witness_theta.hex(), rep.samples) == (
@@ -156,24 +182,65 @@ def test_outside_guard_radius():
         Koebe().derivatives(1.0 + 1e-6)
 
 
-@pytest.mark.parametrize("aval,zeta_arg", [(0.6, 0.3), (-1.1, 2.0), (0.0, 0.0)])
-def test_spiral_power_deriv123_matches_derivatives_exactly(aval, zeta_arg):
-    fn = SpiralPower(Alpha(aval), zeta=cmath.exp(1j * zeta_arg))
-    for z in random_disk_points(40, seed=5, radius=0.99) + [0j]:
+def _hex(values):
+    return [(v.real.hex(), v.imag.hex()) for v in values]
+
+
+@pytest.mark.parametrize("fn", catalog_entries(), ids=lambda f: f.name)
+def test_jet_slices_match_the_full_jet_exactly(fn):
+    """jet(z, lo, hi) computes each order as jet(z, 0, 4) does, bit for bit."""
+    for z in random_disk_points(10, seed=5, radius=0.9) + [0j]:
+        full = fn.jet(z, 0, 4)
+        for lo in range(5):
+            for hi in range(lo, 5):
+                assert _hex(fn.jet(z, lo, hi)) == _hex(full[lo:hi + 1]), (z, lo, hi)
         d = fn.derivatives(z)
-        assert fn.deriv123(z) == (d.f1, d.f2, d.f3)
+        assert _hex((d.f, d.f1, d.f2, d.f3)) == _hex(full[:4])
+        assert _hex([fn.value(z)]) == _hex(full[:1])
 
 
-def test_series_fprime_matches_deriv123_with_its_guards():
+def test_jet_computes_only_the_orders_asked_for(monkeypatch):
+    """The first three derivatives of the extremal family run no quadrature,
+    and a member's f' builds the derivative series of order 1 only."""
+    import disknorms.catalog as catalog
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("quadrature_complex called")
+    fn = RobertsonExtremal(Alpha(0.6), zeta=cmath.exp(0.4j))
+    with monkeypatch.context() as m:
+        m.setattr(catalog, "quadrature_complex", refuse)
+        for z in random_disk_points(5, seed=8, radius=0.9):
+            fn.jet(z, 1, 3)
+        with pytest.raises(AssertionError):
+            fn.jet(0.5, 0, 0)
+    member = random_member(Alpha(0.3), seed=4, degree=2)
+    member.jet(0.5j, 1, 1)
+    assert len(member._diffs) == 2
+    member.jet(0.5j, 1, 3)
+    assert len(member._diffs) == 4
+
+
+def test_jet_guards_f_prime_only_when_it_returns_it():
+    """f' = 1 - 2z vanishes at z = 1/2: an order range holding f' raises
+    VanishingDerivative there, one without it returns its values."""
+    bad = Polynomial((0, 1, -1))
+    for lo, hi in ((0, 1), (1, 1), (1, 3)):
+        with pytest.raises(VanishingDerivative):
+            bad.jet(0.5, lo, hi)
+    assert bad.jet(0.5, 2, 3) == (-2, 0)
+    assert bad.value(0.5) == 0.25
+
+
+def test_series_fprime_matches_jet_with_its_guards():
     member = random_member(Alpha(0.3), seed=4, degree=2)
     d1 = member.derivative_series()[0]
     for z in random_disk_points(20, seed=6, radius=0.95):
-        assert member.deriv123(z)[0] == d1.eval(z)
+        assert member.jet(z, 1, 1)[0] == d1.eval(z)
     with pytest.raises(OutsideGuardRadius):
-        member.deriv123(0.96)
+        member.jet(0.96, 1, 3)
     bad = Polynomial((0, 1, -1.0)).taylor()
     with pytest.raises(VanishingDerivative):
-        bad.deriv123(0.5 + 0j)
+        bad.jet(0.5 + 0j, 1, 3)
 
 
 @pytest.mark.parametrize("aval,seed,degree,zero_f2", [
@@ -196,7 +263,7 @@ def test_member_values_match_ray_quadrature_of_the_self_map(aval, seed, degree, 
 
     for z in random_disk_points(5, seed=seed, radius=0.9) + [0.9 * cmath.exp(1j * seed)]:
         want = fprime(z)
-        assert abs(m.deriv123(z)[0] - want) <= 1e-12 * abs(want)
+        assert abs(m.jet(z, 1, 1)[0] - want) <= 1e-12 * abs(want)
         want = quadrature_complex(lambda t: fprime(t * z) * z, 0.0, 1.0, 1e-14)
         assert abs(m.value(z) - want) <= 1e-12 * max(1.0, abs(want))
 

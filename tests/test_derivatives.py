@@ -285,10 +285,10 @@ def test_field_picks_the_path_by_what_f_provides():
 
 def test_closed_form_scans_evaluate_no_derivative_stack(monkeypatch):
     """Norm, margin and T41 residual scans of the closed forms evaluate their
-    rational fields only, never deriv123."""
-    def refuse(self, z):
-        raise AssertionError(f"{self.name}: deriv123({z!r}) called")
-    monkeypatch.setattr(AnalyticFn, "deriv123", refuse)
+    rational fields only, never jet."""
+    def refuse(self, z, lo=0, hi=3):
+        raise AssertionError(f"{self.name}: jet({z!r}, {lo}, {hi}) called")
+    monkeypatch.setattr(AnalyticFn, "jet", refuse)
     with pytest.raises(AssertionError):
         pre_schwarzian_at(Koebe(), 0.5)
     a, plan = Alpha(0.6), SamplingPlan()

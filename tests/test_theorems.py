@@ -136,7 +136,7 @@ def test_norm_verifiers_build_no_member_series():
         for verify in (verify_T43, verify_T44, verify_T45):
             verify(m, a, PLAN)
         assert "series" not in vars(m)
-    m.deriv123(0.5j)
+    m.jet(0.5j, 1, 3)
     assert "series" in vars(m)
 
 
