@@ -8,10 +8,10 @@ returns the orders lo..hi and nothing more, and it alone applies the radius,
 finiteness and local-univalence guards.  A deterministic generator
 produces genuine members of the angle-alpha convexity class by choosing an
 analytic self-map phi = num/den of the disk as a Blaschke product.  The
-closed forms the CLI builds and every generated member carry f''/f' and the
-Schwarzian as pre_schwarzian_field and schwarzian_field (RationalField),
-exact on the whole open disk; a member's Taylor series, needed only for
-pointwise values of f and its derivatives, is built on first use.
+closed forms the CLI builds and every generated member carry f''/f' as
+pre_schwarzian_field, a RationalField exact on the whole open disk, from
+which AnalyticFn derives schwarzian_field; a member's Taylor series, needed
+only for pointwise values of f and its derivatives, is built on first use.
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ from .quadrature import quadrature_complex
 from .series import DEFAULT_GUARD_RADIUS, DEFAULT_ORDER, GUARD_SLACK, TaylorSeries
 
 VANISHING_DERIVATIVE_EPS = 1e-14
-# Closed-form kinds are defined on the whole open disk; scans may approach
-# the boundary up to this distance before floating-point cancellation in
-# the weight factors costs digits.
+# Closed-form kinds are defined on the whole open disk; pointwise evaluation
+# may approach the boundary up to this distance (scans stop at
+# disksup.SCAN_CEILING).
 CLOSED_FORM_CEILING = 1.0 - 1e-12
 BLASCHKE_ZERO_CAP = 0.8
 
@@ -91,6 +91,17 @@ class RationalField:
             q = q * z + c
         return p / q if self.power == 1 else p / (q * q)
 
+    def schwarzian(self) -> "RationalField":
+        """u' - u^2/2 = (P'Q - PQ' - P^2/2)/Q^2 for this field u = P/Q."""
+        if self.power != 1:
+            raise ValueError("the Schwarzian is derived from a field u = P/Q")
+        p, q = self.num[::-1], self.den[::-1]
+        top = _poly_sum((1.0, _poly_mul(_poly_diff(p), q)),
+                        (-1.0, _poly_mul(p, _poly_diff(q))), (-0.5, _poly_mul(p, p)))
+        while len(top) > 1 and top[-1] == 0:  # terms that cancel exactly, as Koebe's do
+            top.pop()
+        return RationalField(top, q if any(top) else [1], power=2)
+
 
 def _poly_mul(p: Sequence[complex], q: Sequence[complex]) -> list[complex]:
     out = [0j] * (len(p) + len(q) - 1)
@@ -130,8 +141,14 @@ class AnalyticFn:
 
     name = "analytic"
     is_normalized = True
-    # exact RationalFields of f''/f' and of the Schwarzian, where f has them
-    pre_schwarzian_field = schwarzian_field = None
+    # the exact RationalField of f''/f', where f has one
+    pre_schwarzian_field = None
+
+    @cached_property
+    def schwarzian_field(self):
+        """The exact Schwarzian field, from pre_schwarzian_field (None without one)."""
+        u = self.pre_schwarzian_field
+        return None if u is None else u.schwarzian()
 
     @property
     def radius_limit(self) -> float:
@@ -182,7 +199,7 @@ class AnalyticFn:
 
 class Identity(AnalyticFn):
     name = "identity"
-    pre_schwarzian_field = schwarzian_field = RationalField([0], [1])
+    pre_schwarzian_field = RationalField([0], [1])
 
     def _derivative(self, z, k):
         return (z, 1.0 + 0j)[k] if k < 2 else 0j
@@ -196,7 +213,6 @@ class HalfPlane(AnalyticFn):
 
     name = "halfplane"
     pre_schwarzian_field = RationalField([2], [1, -1])
-    schwarzian_field = RationalField([0], [1])
 
     def _derivative(self, z, k):
         """f^(k) = k!/(1 - z)^(k+1) for k >= 1."""
@@ -212,7 +228,6 @@ class Koebe(AnalyticFn):
 
     name = "koebe"
     pre_schwarzian_field = RationalField([4, 2], [1, 0, -1])
-    schwarzian_field = RationalField([-6], [1, 0, -1], power=2)
 
     def _derivative(self, z, k):
         """f^(k) = k!(k + z)/(1 - z)^(k+2); the numerator is expanded to
@@ -280,12 +295,6 @@ class RobertsonExtremal(AnalyticFn):
         c, z2 = self.alpha.cos, self.zeta * self.zeta
         return RationalField([0, 2 * c * z2], [1, 0, -z2])
 
-    @cached_property
-    def schwarzian_field(self) -> RationalField:
-        """2c zeta^2 (1 + (1 - c) zeta^2 z^2)/(1 - zeta^2 z^2)^2, c = cos alpha."""
-        c, z2 = self.alpha.cos, self.zeta * self.zeta
-        return RationalField([2 * c * z2, 0, 2 * c * (1 - c) * z2 * z2], [1, 0, -z2], power=2)
-
     def taylor(self, order=DEFAULT_ORDER, guard_radius=DEFAULT_GUARD_RADIUS):
         z2 = TaylorSeries.from_polynomial([1.0, 0.0, -self.zeta ** 2], order, guard_radius)
         return SeriesFn(z2.pow(complex(-self.alpha.cos)).integrate())
@@ -326,12 +335,6 @@ class SpiralPower(AnalyticFn):
     def pre_schwarzian_field(self) -> RationalField:
         """B zeta/(1 - zeta z), B = exponent."""
         return RationalField([self.exponent * self.zeta], [1, -self.zeta])
-
-    @cached_property
-    def schwarzian_field(self) -> RationalField:
-        """B zeta^2 (1 - B/2)/(1 - zeta z)^2, B = exponent."""
-        b, zt = self.exponent, self.zeta
-        return RationalField([b * zt * zt * (1 - 0.5 * b)], [1, -zt], power=2)
 
     def taylor(self, order=DEFAULT_ORDER, guard_radius=DEFAULT_GUARD_RADIUS):
         base = TaylorSeries.from_polynomial([1.0, -self.zeta], order, guard_radius)
@@ -530,11 +533,10 @@ class GeneratedMember(SeriesFn):
     """Member of the class built from a Blaschke self-map phi = num/den.
 
     With b = e^{-i alpha} cos alpha, membership means f''/f' = 2b phi/(1 - z phi)
-    = 2b num/(den - z num), so the Schwarzian f''/f' differentiated minus half
-    its square is 2b (num' den - num den' + (1 - b) num^2)/(den - z num)^2.
-    Both fields are RationalFields, exact on the whole open disk.  The Taylor
-    series of f, which the pointwise values of f and its derivatives need, is
-    built on first use and trusted up to its guard radius (radius_limit).
+    = 2b num/(den - z num), a RationalField exact on the whole open disk, and
+    so is the Schwarzian derived from it.  The Taylor series of f, which the
+    pointwise values of f and its derivatives need, is built on first use and
+    trusted up to its guard radius (radius_limit).
     """
 
     def __init__(self, provenance: MemberProvenance):
@@ -547,7 +549,7 @@ class GeneratedMember(SeriesFn):
             den = _poly_mul(den, [1.0, a.conjugate()])
         if provenance.zero_second_deriv:
             num = [0j] + num
-        self._num, self._den = num, den
+        self._num = num
         # den - z num: its roots, all on the unit circle, are the poles of both fields
         self._pole_factor = _poly_sum((1.0, den), (-1.0, [0j] + num))
 
@@ -567,17 +569,12 @@ class GeneratedMember(SeriesFn):
     def pre_schwarzian_field(self) -> RationalField:
         return RationalField([self._two_b * c for c in self._num], self._pole_factor)
 
-    @cached_property
-    def schwarzian_field(self) -> RationalField:
-        num, den, b2 = self._num, self._den, self._two_b
-        top = _poly_sum((b2, _poly_mul(_poly_diff(num), den)),
-                        (-b2, _poly_mul(num, _poly_diff(den))),
-                        (b2 * (1.0 - 0.5 * b2), _poly_mul(num, num)))
-        return RationalField(top, self._pole_factor, power=2)
-
     def second_deriv_origin(self):
-        """f''(0) = 2b phi(0)."""
-        return self._two_b * (self._num[0] / self._den[0])
+        """f''(0) = 2b phi(0) = 2b num(0), since den(0) = 1."""
+        return self._two_b * self._num[0]
+
+    def taylor(self, order=DEFAULT_ORDER, guard_radius=DEFAULT_GUARD_RADIUS):
+        return SeriesFn(self.series)
 
 
 def random_member(alpha: Alpha, seed: int, degree: int = 3,

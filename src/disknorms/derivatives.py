@@ -104,9 +104,8 @@ def weighted_norm(f: AnalyticFn, k: int, plan: SamplingPlan) -> NormEstimate:
     return weighted_sup(point, k, plan, r_limit=r_limit)
 
 
-def pre_schwarzian_inf_re(f: AnalyticFn, post, plan: SamplingPlan,
-                          cap: float = CLOSED_FORM_CEILING) -> MarginReport:
-    """Sampled infimum of Re post(z, u), u = f''(z)/f'(z), over |z| < r_limit:
-    the radius up to which u is exact, or cap if that is smaller."""
+def pre_schwarzian_inf_re(f: AnalyticFn, post, plan: SamplingPlan) -> MarginReport:
+    """Sampled infimum of Re post(z, u), u = f''(z)/f'(z), scanned up to the
+    radius where u stops being exact."""
     point, r_limit = _field(f, 1)
-    return weighted_inf_re(lambda z: post(z, point(z)), plan, r_limit=min(r_limit, cap))
+    return weighted_inf_re(lambda z: post(z, point(z)), plan, r_limit=r_limit)

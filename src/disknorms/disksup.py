@@ -6,8 +6,8 @@ the best ray toward the boundary.  The march step size is controlled by a
 three-radius Richardson fit of the weighted profile: marching stops once
 the fitted limit says the remaining gain is below the plan's relative
 tolerance.  Every reported value is an actually evaluated sample, so sup
-estimates are certified lower bounds and inf estimates certified upper
-bounds of the true extrema.
+estimates are lower bounds and inf estimates upper bounds of the extrema
+over |z| <= min(r_limit, SCAN_CEILING).
 
 Both scan kinds maximize weight(r) * part(value): (1 - r^2)^k |g| for a
 sup, -1 * Re h for an inf, with g and h pointwise evaluators.  The caller
@@ -21,7 +21,9 @@ reported value is one that the evaluator returned at
 _point(witness_r, witness_theta).
 
 The weight (1 - r^2) is always computed as (1 - r)(1 + r) from the grid
-radius, which stays exact to one ulp arbitrarily close to the boundary.
+radius, which stays exact to one ulp arbitrarily close to the boundary; the
+evaluated point _point(r, theta) is rounded, so its 1 - |z|^2 is off by a
+few ulps of 1, which is why no scan goes past SCAN_CEILING.
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ from typing import Callable, Sequence
 
 from .catalog import CLOSED_FORM_CEILING
 
+# No scan samples past this radius: beyond it the rounding of _point moves
+# 1 - |z|^2 by more than 1e-10 of the weight (module docstring).
+SCAN_CEILING = 1.0 - 1e-6
 MARCH_MAX_STEPS = 45
 MARCH_MIN_GAP = 1e-12
 
@@ -64,7 +69,7 @@ class SamplingPlan:
 
 @dataclass(frozen=True)
 class NormEstimate:
-    """Certified lower bound for a weighted supremum.
+    """Lower bound of the weighted supremum over |z| <= min(r_limit, SCAN_CEILING).
 
     ``value`` equals weight(witness_r)^k * |g(witness)| exactly as evaluated;
     the polar witness coordinates allow bit-exact re-evaluation.
@@ -81,7 +86,8 @@ class NormEstimate:
 
 @dataclass(frozen=True)
 class MarginReport:
-    """Sampled infimum of a real-part functional (upper bound of the true inf)."""
+    """Sampled infimum of a real-part functional: an upper bound of its
+    infimum over |z| <= min(r_limit, SCAN_CEILING)."""
 
     inf_value: float
     witness: complex
@@ -140,6 +146,7 @@ def _optimize(field: Callable[[complex], complex], weight: Callable[[float], flo
               part: Callable[[complex], float], plan: SamplingPlan,
               r_limit: float) -> tuple[_Best, bool, int]:
     """Maximize weight(r) * part(field(z)); returns (best, converged, depth_used)."""
+    r_limit = min(r_limit, SCAN_CEILING)
     cap = min(plan.r_cap, r_limit)
     radii = _scan_radii(plan, cap)
     m = plan.angular_count
@@ -221,7 +228,7 @@ def _optimize(field: Callable[[complex], complex], weight: Callable[[float], flo
 
 def weighted_sup(g: Callable[[complex], complex], k: int, plan: SamplingPlan,
                  r_limit: float = CLOSED_FORM_CEILING, workers: int = 1) -> NormEstimate:
-    """Estimate sup over |z| <= r_limit of (1 - |z|^2)^k |g(z)| from below.
+    """Lower bound of sup (1 - |z|^2)^k |g(z)| over |z| <= min(r_limit, SCAN_CEILING).
 
     The estimate bounds the sup of g itself only where g is exact, so
     r_limit is the radius up to which it is (module docstring).
@@ -236,7 +243,7 @@ def weighted_sup(g: Callable[[complex], complex], k: int, plan: SamplingPlan,
 
 def weighted_inf_re(h: Callable[[complex], complex], plan: SamplingPlan,
                     r_limit: float = CLOSED_FORM_CEILING, workers: int = 1) -> MarginReport:
-    """Sampled infimum of Re h over |z| <= r_limit, as minus the sup of -Re h.
+    """Sampled infimum of Re h over |z| <= min(r_limit, SCAN_CEILING), as -sup(-Re h).
 
     r_limit is the radius up to which h is exact (module docstring).
     ``workers`` is ignored: the scan runs serially."""

@@ -39,8 +39,8 @@ def robertson_margin(f: AnalyticFn, alpha: Alpha, plan: SamplingPlan,
     """Sampled infimum of the defining real-part functional.
 
     The scan covers the disk up to the radius where f''/f' is exact: the
-    open disk for closed forms and generated members (whose f''/f' is a
-    rational function), the guard radius for other series-backed f.
+    open disk, up to SCAN_CEILING, for closed forms and generated members
+    (whose f''/f' is rational), the guard radius for other series-backed f.
     Membership is certified when the infimum stays above -TOL_MEMBERSHIP,
     a slack for rounding and for the truncation error of such series.
     ``workers`` is ignored: the scan runs serially.

@@ -30,10 +30,6 @@ SECOND_DERIV_ZERO_EPS = 1e-10
 _SCHWARZ_STEP = "the Schwarz-lemma step needs phi(0) = 0"
 _HYPOTHESIS_NOT_MET = "hypothesis of the proof not met"
 GROWTH_R_CAP = 0.999
-# Residual scans carry the (1-|z|^2) weight inside the functional, where the
-# radius is no longer known exactly; keeping a 1e-6 gap to the boundary keeps
-# the cancellation error of the weight below 1e-9.
-RESIDUAL_SCAN_CEILING = 1.0 - 1e-6
 
 BOUND_TOL = 1e-4
 DISTORTION_TOL = 1e-8
@@ -127,7 +123,7 @@ def verify_T41(f: AnalyticFn, alpha: Alpha, plan: SamplingPlan,
     if refusal is not None:
         return refusal
 
-    inf_ii, inf_iii = (pre_schwarzian_inf_re(f, res, plan, cap=RESIDUAL_SCAN_CEILING)
+    inf_ii, inf_iii = (pre_schwarzian_inf_re(f, res, plan)
                        for res in characterization_residuals_of(alpha))
     worst = min(inf_ii.inf_value, inf_iii.inf_value)
     witness = inf_ii.witness if inf_ii.inf_value <= inf_iii.inf_value else inf_iii.witness

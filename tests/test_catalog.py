@@ -120,6 +120,26 @@ def test_rational_field_takes_power_one_or_two_only():
             RationalField([1], [1, -1], power=power)
 
 
+def test_schwarzian_field_is_derived_from_the_pre_schwarzian_field_only():
+    """AnalyticFn.schwarzian_field is RationalField.schwarzian of f''/f' = P/Q,
+    (P'Q - PQ' - P^2/2)/Q^2; no kind writes its own.  Integer coefficients
+    round nothing, so Koebe's is exactly -6/(1 - z^2)^2 and the half-plane
+    map's is the zero field 0/1."""
+    from disknorms.catalog import GeneratedMember
+    for cls in (Identity, HalfPlane, Koebe, RobertsonExtremal, SpiralPower, GeneratedMember):
+        assert "schwarzian_field" not in vars(cls)
+    kb = Koebe()
+    assert kb.schwarzian_field is kb.schwarzian_field
+    assert kb.schwarzian_field.num == (-6,)
+    assert kb.schwarzian_field.den == kb.pre_schwarzian_field.den
+    assert kb.schwarzian_field.power == 2
+    for fn in (HalfPlane(), Identity()):
+        assert (fn.schwarzian_field.num, fn.schwarzian_field.den) == ((0,), (1,))
+    assert Polynomial((0, 1, 0.1)).schwarzian_field is None
+    with pytest.raises(ValueError, match="P/Q"):
+        RationalField([1], [1, -1], power=2).schwarzian()
+
+
 def test_series_fourth_derivative_series_built_once():
     """jet(z, 4, 4) evaluates one cached series, bit for bit the rebuilt
     third-derivative series' diff(), and the spirallike margin of z f' is

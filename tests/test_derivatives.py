@@ -5,7 +5,7 @@ import cmath
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from disknorms import (Alpha, DerivStack, HalfPlane, Identity, Koebe, Moebius,
                        Polynomial, RobertsonExtremal, SamplingPlan, SeriesFn, SpiralPower,
@@ -199,6 +199,16 @@ def test_plain_series_fn_scans_its_quotient_series_to_the_guard_radius():
         assert field(0.3 - 0.4j) == series.eval(0.3 - 0.4j)
 
 
+def test_member_taylor_is_its_series_scanned_to_the_guard_radius():
+    """Like every other kind's, a member's series form is a SeriesFn whose
+    scans stop at the guard radius, not the member with its exact fields."""
+    m = random_member(Alpha(0.5), 3, 2)
+    t = m.taylor()
+    assert type(t) is SeriesFn
+    assert t.series is m.series
+    assert _field(t, 1)[1] == 0.95
+
+
 # (alpha, seed, degree, f''(0) = 0) of members whose Schwarzian norm scans end
 # 2.4e-8 from the circle, where Horner on the expanded square of den - z num
 # was off by 0.25 and 0.031
@@ -266,6 +276,23 @@ def test_closed_form_norms_at_zeta_one_match_exact_values(aval):
         for k, exact in zip((1, 2), exact_norms):
             value = weighted_norm(fn, k, plan).value
             assert exact - 1e-3 <= value <= exact + 1e-9, (fn.name, k)
+
+
+@settings(max_examples=15, deadline=None)
+@given(aval=st.floats(-1.5, 1.5), theta=st.floats(-math.pi, math.pi))
+@example(aval=0.6, theta=math.pi / 128)
+def test_rotated_norm_estimates_never_exceed_the_exact_norms(aval, theta):
+    """A rotation zeta = e^{i theta} leaves the norms 2c and 2c(2-c) of the
+    extremal and 4c and 8c|sin a| of the spiral power unchanged, and every
+    estimate is a lower bound of its norm; at theta = pi/128 the maxima lie
+    half a grid step off the scan's rays."""
+    a, zeta = Alpha(aval), cmath.exp(1j * theta)
+    c, s = a.cos, abs(math.sin(aval))
+    plan = SamplingPlan()
+    for fn, exact_norms in ((RobertsonExtremal(a, zeta), (2 * c, 2 * c * (2 - c))),
+                            (SpiralPower(a, zeta), (4 * c, 8 * c * s))):
+        for k, exact in zip((1, 2), exact_norms):
+            assert weighted_norm(fn, k, plan).value <= exact + 1e-9, (fn.name, k)
 
 
 def test_field_picks_the_path_by_what_f_provides():

@@ -8,8 +8,10 @@ import pytest
 from disknorms import (Alpha, HalfPlane, Koebe, RobertsonExtremal, SamplingPlan,
                        SpiralPower, radial_profile, random_disk_points, random_member,
                        robertson_margin, weighted_inf_re, weighted_sup)
-from disknorms.derivatives import _field, pre_schwarzian_evaluator, schwarzian_evaluator
-from disknorms.disksup import _point, ring_points, weight_factor
+from disknorms.derivatives import (_field, pre_schwarzian_evaluator, pre_schwarzian_inf_re,
+                                   schwarzian_evaluator, weighted_norm)
+from disknorms.disksup import SCAN_CEILING, _point, ring_points, weight_factor
+from disknorms.robertson import characterization_residuals_of
 from disknorms.theorems import verify_T41, verify_T43, verify_T44, verify_T45
 
 PLAN = SamplingPlan()
@@ -68,8 +70,10 @@ def test_inf_constant():
 
 
 def test_inf_halfplane_functional_approaches_zero_from_above():
-    """Radial-limit oracle: Re (1+z)/(1-z) = (1-r)/(1+r) along z = -r."""
+    """Radial-limit oracle: Re (1+z)/(1-z) = (1-r)/(1+r) along z = -r, so the
+    infimum over |z| <= SCAN_CEILING = R is (1-R)/(1+R), at z = -R."""
     hp = HalfPlane()
+    exact = (1 - SCAN_CEILING) / (1 + SCAN_CEILING)
     vals = []
     for depth in (0, 2, 6):
         plan = SamplingPlan(refine_depth=depth)
@@ -79,7 +83,25 @@ def test_inf_halfplane_functional_approaches_zero_from_above():
         vals.append(rep.inf_value)
         assert rep.witness.real < -0.9   # witness approaches the boundary near -1
     assert vals[2] <= vals[1] <= vals[0]
-    assert vals[2] < 1e-9
+    assert abs(vals[2] - exact) <= 1e-12 * exact
+
+
+def test_no_scan_samples_beyond_the_scan_ceiling():
+    """Whatever r_limit a caller passes, every sup and inf scan keeps its
+    witness on |z| <= SCAN_CEILING; the half-plane map's pre-Schwarzian and
+    functional take their extrema there."""
+    hp, a = HalfPlane(), Alpha(0.4)
+    m = random_member(a, seed=3, degree=2)
+    ev = pre_schwarzian_evaluator(hp)
+    scans = [weighted_norm(f, k, PLAN) for f in (hp, m) for k in (1, 2)]
+    scans.append(robertson_margin(m, a, PLAN))
+    scans += [pre_schwarzian_inf_re(m, res, PLAN) for res in characterization_residuals_of(a)]
+    for r_limit in (1.0 - 1e-12, SCAN_CEILING, 0.5):
+        scans += [weighted_sup(ev, 1, PLAN, r_limit=r_limit),
+                  weighted_sup(ev, 2, PLAN, r_limit=r_limit),
+                  weighted_inf_re(lambda z: (1 + z) / (1 - z), PLAN, r_limit=r_limit)]
+    assert all(s.witness_r <= SCAN_CEILING for s in scans)
+    assert sum(s.witness_r == SCAN_CEILING for s in scans) >= 4
 
 
 def test_member_margin_nonnegative():
@@ -186,13 +208,13 @@ def test_ring_points_are_the_grid_points_bit_for_bit(m, r):
 # float.hex of (value, witness_r, witness_theta) of both norms at the default
 # plan, scanned through the closed forms' exact rational fields
 PINNED_NORMS = {
-    ("robertson-extremal", 1): ("0x1.a68c09eca5c86p+0", "0x1.fff8556947170p-1", "0x1.7eec823a92819p+2"),
-    ("robertson-extremal", 2): ("0x1.f058756172c19p+0", "0x1.ffe15313c90ebp-1", "0x1.7eec821149344p+2"),
-    ("spiral-power", 1): ("0x1.a68a813dc0ccap+1", "0x1.ffece497ac332p-1", "0x1.7eec821107cc5p+2"),
-    ("spiral-power", 2): ("0x1.dd2b52ae6d23ap+1", "0x1.fff6724bd5001p-1", "0x1.7eec82110b798p+2"),
-    ("koebe", 1): ("0x1.7ffffffffea02p+2", "0x1.fffffffffdcd1p-1", "0x0.0p+0"),
-    ("koebe", 2): ("0x1.800000000013fp+2", "0x1.ffae147adf5b2p-1", "0x0.0p+0"),
-    ("halfplane", 1): ("0x1.fffffffffee68p+1", "0x1.fffffffffdcd1p-1", "0x0.0p+0"),
+    ("robertson-extremal", 1): ("0x1.a68beef68a8d3p+0", "0x1.fff833ec20ff1p-1", "0x1.7eec8238d7e1ap+2"),
+    ("robertson-extremal", 2): ("0x1.f0586bbf1a5b7p+0", "0x1.ffe131a769ed4p-1", "0x1.7eec821148625p+2"),
+    ("spiral-power", 1): ("0x1.a68a7372d1c57p+1", "0x1.ffecc32b4d11ap-1", "0x1.7eec821107fc5p+2"),
+    ("spiral-power", 2): ("0x1.dd2b33783bf31p+1", "0x1.fff650ceaee82p-1", "0x1.7eec82110babep+2"),
+    ("koebe", 1): ("0x1.7ffff79c71f18p+2", "0x1.ffffde7210be9p-1", "0x0.0p+0"),
+    ("koebe", 2): ("0x1.8000000000482p+2", "0x1.ffd6eac860568p-1", "0x0.0p+0"),
+    ("halfplane", 1): ("0x1.ffffef39085f4p+1", "0x1.ffffde7210be9p-1", "0x0.0p+0"),
     ("halfplane", 2): ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
 }
 
@@ -209,7 +231,7 @@ def test_closed_form_estimates_pinned():
     assert got == PINNED_NORMS
     rep = robertson_margin(SpiralPower(a), a, PLAN)
     assert (rep.inf_value.hex(), rep.witness_r.hex(), rep.witness_theta.hex(), rep.samples) == (
-        "0x1.d080000000000p-42", "0x1.fffffffffdcd1p-1", "0x1.921fb54442d18p+1", 8312)
+        "0x1.bb1951e400000p-22", "0x1.ffffde7210be9p-1", "0x1.921fb54442d18p+1", 8312)
 
 
 # float.hex of the margin's (inf_value, witness_r), of the T43/T44/T45
@@ -217,15 +239,15 @@ def test_closed_form_estimates_pinned():
 # members, whose scans evaluate their exact rational fields on the open disk
 PINNED_MEMBER_SCANS = {
     (0.5, 7, 3, False): (
-        ("0x1.1664000000000p-40", "0x1.fffffffffdcd1p-1"),
-        ("0x1.a7b2aa64a7c95p+0", "0x1.1a6487dabf81bp+1", "0x1.1a6487dabf81bp+1"),
+        ("0x1.0978621900000p-20", "0x1.ffffde7210be9p-1"),
+        ("0x1.a7b2aa64a7c95p+0", "0x1.1a6487dabf81cp+1", "0x1.1a6487dabf81cp+1"),
         "residual minima: ii = 5.35371e-07, iii = 1.07048e-12; tolerance 1e-06; sampled "
-        "membership margin 9.89042e-13 at z = (0.8760700941945305+0.4821837720786406j)"),
+        "membership margin 9.88954e-07 at z = (0.8730941053233117+0.4875496725982758j)"),
     (-0.9, 4, 2, True): (
-        ("0x1.e560000000000p-41", "0x1.fffffffffdcd1p-1"),
-        ("0x1.a8bd5426ad7f2p-1", "0x1.785cb33dbe7a2p+0", "0x1.785cb33dbe7a2p+0"),
+        ("0x1.cf068cf200000p-21", "0x1.ffffde7210be9p-1"),
+        ("0x1.a8bd2a8609162p-1", "0x1.785c9f31a2a28p+0", "0x1.785c9f31a2a28p+0"),
         "residual minima: ii = 5.51648e-07, iii = 1.10334e-12; tolerance 1e-06; sampled "
-        "membership margin 8.62199e-13 at z = (0.7200025079606617+0.69397146088896j)"),
+        "membership margin 8.62452e-07 at z = (0.7200017879588737+0.693970766918193j)"),
 }
 
 
