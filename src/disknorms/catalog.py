@@ -73,7 +73,7 @@ class RationalField:
     digits near the roots of den on the unit circle.
     """
 
-    __slots__ = ("num", "den", "power")
+    __slots__ = ("num", "den", "power", "_horner")
 
     def __init__(self, num: Sequence[complex], den: Sequence[complex], power: int = 1):
         if power not in (1, 2):
@@ -82,14 +82,38 @@ class RationalField:
         self.num = tuple(complex(c) for c in reversed(num))
         self.den = tuple(complex(c) for c in reversed(den))
         self.power = power
+        # Horner starts at each leading coefficient; split once, not on every call
+        self._horner = self.num[0], self.num[1:], self.den[0], self.den[1:]
 
     def __call__(self, z: complex) -> complex:
-        p = q = 0j
-        for c in self.num:
+        p, ps, q, qs = self._horner
+        for c in ps:
             p = p * z + c
-        for c in self.den:
+        for c in qs:
             q = q * z + c
         return p / q if self.power == 1 else p / (q * q)
+
+    def ring_with(self, square: "RationalField"):
+        """Evaluator of ([self(z) ...], [square(z) ...]) over a list of points,
+        for this u = P/Q and a square = N/Q^2 over the same den: P, Q and N
+        take one Horner pass each per point, with the calls' exact values."""
+        p0, ps, q0, qs = self._horner
+        n0, ns = square._horner[:2]
+
+        def ring(points: list[complex]) -> tuple[list[complex], list[complex]]:
+            us, ss = [], []
+            for z in points:
+                p, q, n = p0, q0, n0
+                for c in ps:
+                    p = p * z + c
+                for c in qs:
+                    q = q * z + c
+                for c in ns:
+                    n = n * z + c
+                us.append(p / q)
+                ss.append(n / (q * q))
+            return us, ss
+        return ring
 
     def schwarzian(self) -> "RationalField":
         """u' - u^2/2 = (P'Q - PQ' - P^2/2)/Q^2 for this field u = P/Q."""
@@ -559,10 +583,14 @@ class GeneratedMember(SeriesFn):
 
     @cached_property
     def series(self) -> TaylorSeries:
+        return self._series(DEFAULT_ORDER + 2, DEFAULT_GUARD_RADIUS)
+
+    def _series(self, order: int, guard_radius: float) -> TaylorSeries:
         """Integrates f''/f' = 2b num/(den - z num) at series level: one
-        quotient of polynomials, f' = exp(integral), f = integral of f'."""
-        q = (TaylorSeries.from_polynomial([self._two_b * c for c in self._num])
-             / TaylorSeries.from_polynomial(self._pole_factor))
+        quotient of polynomials to order - 2, f' = exp(integral), f = integral of f'."""
+        q = (TaylorSeries.from_polynomial([self._two_b * c for c in self._num], order - 2,
+                                          guard_radius)
+             / TaylorSeries.from_polynomial(self._pole_factor, order - 2, guard_radius))
         return q.integrate().exp().integrate()
 
     @cached_property
@@ -573,8 +601,11 @@ class GeneratedMember(SeriesFn):
         """f''(0) = 2b phi(0) = 2b num(0), since den(0) = 1."""
         return self._two_b * self._num[0]
 
-    def taylor(self, order=DEFAULT_ORDER, guard_radius=DEFAULT_GUARD_RADIUS):
-        return SeriesFn(self.series)
+    def taylor(self, order=DEFAULT_ORDER + 2, guard_radius=DEFAULT_GUARD_RADIUS):
+        """SeriesFn of f's series of the given order, trusted to guard_radius."""
+        if (order, guard_radius) == (DEFAULT_ORDER + 2, DEFAULT_GUARD_RADIUS):
+            return SeriesFn(self.series)
+        return SeriesFn(self._series(order, guard_radius))
 
 
 def random_member(alpha: Alpha, seed: int, degree: int = 3,

@@ -9,8 +9,9 @@ rational fields of closed forms and generated members there too.
 _field is the one place that picks, by what f provides, how f''/f' and the
 Schwarzian are evaluated and up to which radius that is exact: its rational
 fields on the open disk, else its quotient series to the guard radius, else
-its guarded jet.  Every scan goes through weighted_norm (the weighted
-norms) or pre_schwarzian_inf_re (the infimum of a real-part functional of
+its guarded jet.  Every scan goes through weighted_norm (one weighted
+norm), weighted_norms (both, from one grid pass where f has rational
+fields) or pre_schwarzian_inf_re (the infimum of a real-part functional of
 f''/f').
 """
 
@@ -18,7 +19,8 @@ from __future__ import annotations
 
 from .catalog import (CLOSED_FORM_CEILING, Alpha, AnalyticFn, DerivStack, RobertsonExtremal,
                       SeriesFn)
-from .disksup import MarginReport, NormEstimate, SamplingPlan, weighted_inf_re, weighted_sup
+from .disksup import (MarginReport, NormEstimate, SamplingPlan, weighted_inf_re, weighted_sup,
+                      weighted_sups)
 from .series import TaylorSeries
 
 
@@ -102,6 +104,15 @@ def weighted_norm(f: AnalyticFn, k: int, plan: SamplingPlan) -> NormEstimate:
     the radius where the field stops being exact."""
     point, r_limit = _field(f, k)
     return weighted_sup(point, k, plan, r_limit=r_limit)
+
+
+def weighted_norms(f: AnalyticFn, plan: SamplingPlan) -> tuple[NormEstimate, NormEstimate]:
+    """(weighted_norm(f, 1, plan), weighted_norm(f, 2, plan)), bit for bit: rational
+    fields u = P/Q and S = N/Q^2 share one grid pass, other f take two scans."""
+    u, s = f.pre_schwarzian_field, f.schwarzian_field
+    if u is None or s.den != u.den:
+        return weighted_norm(f, 1, plan), weighted_norm(f, 2, plan)
+    return tuple(weighted_sups([(u, 1), (s, 2)], plan, CLOSED_FORM_CEILING, u.ring_with(s)))
 
 
 def pre_schwarzian_inf_re(f: AnalyticFn, post, plan: SamplingPlan) -> MarginReport:

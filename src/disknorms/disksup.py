@@ -13,8 +13,11 @@ Both scan kinds maximize weight(r) * part(value): (1 - r^2)^k |g| for a
 sup, -1 * Re h for an inf, with g and h pointwise evaluators.  The caller
 passes the radius r_limit up to which its evaluator is exact (the open disk
 for closed forms and generated class members, the guard radius for other
-series-backed functions).  The grid is scored one ring at a time by mapping
-the evaluator over ring_points(r, m).  One sampler takes every other sample:
+series-backed functions).  The grid is scored one ring at a time: map, max
+and index score the values at ring_points(r, m) and keep the first best cell
+in scan order, never a NaN score.  Objectives whose values one ring
+evaluator gives share one grid pass (weighted_sups), then each refines and
+marches from its own winner.  One sampler takes every other sample:
 it evaluates the point, scores it, counts it and keeps the first best one.
 It re-scores the grid's first best cell in scan order uncounted, so the
 reported value is one that the evaluator returned at
@@ -29,6 +32,7 @@ few ulps of 1, which is why no scan goes past SCAN_CEILING.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import random
@@ -106,14 +110,18 @@ def _point(r: float, theta: float) -> complex:
 
 
 @functools.lru_cache(maxsize=16)
-def _ring_table(m: int) -> tuple[tuple[float, float], ...]:
-    """(cos, sin) of the m grid angles, built on first use of each m."""
-    return tuple((math.cos(t), math.sin(t)) for t in (2.0 * math.pi * j / m for j in range(m)))
+def _ring_table(m: int) -> tuple[complex, ...]:
+    """e^{i t} at the m grid angles t, built on first use of each m."""
+    angles = (2.0 * math.pi * j / m for j in range(m))
+    return tuple(complex(math.cos(t), math.sin(t)) for t in angles)
 
 
 def ring_points(r: float, m: int) -> list[complex]:
-    """The grid points _point(r, 2 pi j/m), j = 0..m-1, of one ring in scan order."""
-    return [complex(r * c, r * s) for c, s in _ring_table(m)]
+    """The grid points _point(r, 2 pi j/m), j = 0..m-1, of one ring in scan order;
+    complex(r) * e equals them for r > 0 but flips some zeros' signs at r = 0."""
+    if r == 0.0:
+        return [complex(r * e.real, r * e.imag) for e in _ring_table(m)]
+    return list(map(complex(r).__mul__, _ring_table(m)))
 
 
 class _Best:
@@ -142,27 +150,39 @@ def _scan_radii(plan: SamplingPlan, cap: float) -> list[float]:
     return [cap * math.sin(0.5 * math.pi * i / (n - 1)) for i in range(n)]
 
 
-def _optimize(field: Callable[[complex], complex], weight: Callable[[float], float],
-              part: Callable[[complex], float], plan: SamplingPlan,
-              r_limit: float) -> tuple[_Best, bool, int]:
-    """Maximize weight(r) * part(field(z)); returns (best, converged, depth_used)."""
+def _optimize(objectives: Sequence[tuple[Callable, Callable, Callable]], plan: SamplingPlan,
+              r_limit: float, ring=None) -> list[tuple[_Best, bool, int]]:
+    """Maximize weight(r) * part(field(z)) for each objective (field, weight, part)
+    from one grid pass, where ring(points) gives every field's values at one
+    ring's points (by default each field mapped over them); returns
+    (best, converged, depth_used) for each."""
     r_limit = min(r_limit, SCAN_CEILING)
     cap = min(plan.r_cap, r_limit)
     radii = _scan_radii(plan, cap)
     m = plan.angular_count
-
-    best = _Best(field, weight, part)
+    if ring is None:
+        ring = lambda points: [list(map(field, points)) for field, _, _ in objectives]
     # strict improvement keeps the first cell in scan order on ties
-    top, top_r, top_j = -math.inf, 0.0, 0
+    tops = [(-math.inf, 0.0, 0)] * len(objectives)
     for r in radii:
-        w = weight(r)
-        for j, v in enumerate(map(field, ring_points(r, m))):
-            s = w * part(v)
-            if s > top:
-                top, top_r, top_j = s, r, j
+        values = ring(ring_points(r, m))
+        for i, (_, weight, part) in enumerate(objectives):
+            scores = list(map(functools.partial(operator.mul, weight(r)), map(part, values[i])))
+            s = max(scores)
+            if s != s:  # max keeps a NaN first score, which no later score beats
+                s = max(itertools.filterfalse(math.isnan, scores), default=-math.inf)
+            if s > tops[i][0]:
+                tops[i] = s, r, scores.index(s)
+    return [_refine(_Best(*objective), r, 2.0 * math.pi * j / m, plan, r_limit, cap)
+            for objective, (_, r, j) in zip(objectives, tops)]
+
+
+def _refine(best: _Best, r0: float, t0: float, plan: SamplingPlan, r_limit: float,
+            cap: float) -> tuple[_Best, bool, int]:
+    """Refine around the grid winner (r0, t0), then march toward r_limit."""
     # the grid's cells are its samples; re-scoring the winner adds none
-    best.sample(top_r, 2.0 * math.pi * top_j / m)
-    best.samples = len(radii) * m
+    best.sample(r0, t0)
+    best.samples = plan.radial_count * plan.angular_count
 
     spacing0 = cap * math.sin(0.5 * math.pi / (plan.radial_count - 1))
     history = [best.score]
@@ -233,12 +253,22 @@ def weighted_sup(g: Callable[[complex], complex], k: int, plan: SamplingPlan,
     The estimate bounds the sup of g itself only where g is exact, so
     r_limit is the radius up to which it is (module docstring).
     ``workers`` is ignored: the scan runs serially."""
-    if k not in (1, 2):
-        raise ValueError(f"weight exponent must be 1 or 2, got {k}")
-    best, converged, depth_used = _optimize(g, lambda r: weight_factor(r, k), abs,
-                                            plan, r_limit)
-    return NormEstimate(best.score, _point(best.r, best.theta), best.r, best.theta, k,
-                        converged, depth_used)
+    return weighted_sups([(g, k)], plan, r_limit)[0]
+
+
+def weighted_sups(fields: Sequence[tuple[Callable[[complex], complex], int]],
+                  plan: SamplingPlan, r_limit: float = CLOSED_FORM_CEILING,
+                  ring=None) -> list[NormEstimate]:
+    """weighted_sup(g, k, plan, r_limit) for each (g, k) in fields, from one grid
+    pass; ring(points) gives every g's values at one ring's points."""
+    for _, k in fields:
+        if k not in (1, 2):
+            raise ValueError(f"weight exponent must be 1 or 2, got {k}")
+    runs = _optimize([(g, functools.partial(weight_factor, k=k), abs) for g, k in fields],
+                     plan, r_limit, ring)
+    return [NormEstimate(best.score, _point(best.r, best.theta), best.r, best.theta, k,
+                         converged, depth_used)
+            for (_, k), (best, converged, depth_used) in zip(fields, runs)]
 
 
 def weighted_inf_re(h: Callable[[complex], complex], plan: SamplingPlan,
@@ -247,7 +277,7 @@ def weighted_inf_re(h: Callable[[complex], complex], plan: SamplingPlan,
 
     r_limit is the radius up to which h is exact (module docstring).
     ``workers`` is ignored: the scan runs serially."""
-    best, _, _ = _optimize(h, lambda r: -1.0, operator.attrgetter("real"), plan, r_limit)
+    best = _optimize([(h, lambda r: -1.0, operator.attrgetter("real"))], plan, r_limit)[0][0]
     return MarginReport(-best.score, _point(best.r, best.theta), best.r, best.theta,
                         best.samples)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .catalog import Alpha, AnalyticFn
-from .derivatives import pre_schwarzian_inf_re, weighted_norm
+from .derivatives import pre_schwarzian_inf_re, weighted_norms
 from .disksup import MarginReport, SamplingPlan
 from .quadrature import quadrature
 from .robertson import (characterization_residuals_of, is_certified_member,
@@ -89,10 +89,10 @@ def _f2_zero_gate(f: AnalyticFn, consequence: str) -> Optional[str]:
     return f"|f''(0)| = {f2:.6g} != 0: {consequence}"
 
 
-def _scan_once(f: AnalyticFn, key: tuple, scan: Callable[[], object]):
+def _scan_once(f: AnalyticFn, key: object, scan: Callable[[], object]):
     """scan(), run once per key on f.  The memo sits in the instance dict of
     the immutable f, so it lives as long as f; margins are keyed by
-    (alpha, plan) and weighted_norm estimates by (k, plan)."""
+    (alpha, plan) and the weighted_norms pair of both norms by plan."""
     memo = vars(f).setdefault("_scans", {})
     if key not in memo:
         memo[key] = scan()
@@ -195,8 +195,9 @@ def verify_T42_growth(f: AnalyticFn, alpha: Alpha, points: Sequence[complex],
 def _norm_bound_report(theorem_id: str, f: AnalyticFn, alpha: Alpha,
                        plan: SamplingPlan, k: int, bound: float, tol: float,
                        extra_precondition: Optional[str]) -> TheoremReport:
-    """Shared body of the norm-bound verifiers; always computes the estimate."""
-    est = _scan_once(f, (k, plan), lambda: weighted_norm(f, k, plan))
+    """Shared body of the norm-bound verifiers; always computes the estimate,
+    from the pair of both norms that T43, T44 and T45 share."""
+    est = _scan_once(f, plan, lambda: weighted_norms(f, plan))[k - 1]
     side = f"norm estimate {est.value:.8g} vs bound {bound:.8g} (tolerance {tol:g})"
     if extra_precondition is not None:
         return TheoremReport(theorem_id, PRECONDITION_UNMET, 0.0, est.witness,
@@ -214,7 +215,8 @@ def _norm_bound_report(theorem_id: str, f: AnalyticFn, alpha: Alpha,
 
 def verify_T43(f: AnalyticFn, alpha: Alpha, plan: SamplingPlan,
                tol: float = BOUND_TOL, workers: int = 1) -> TheoremReport:
-    """Pre-Schwarzian norm <= 2 cos alpha for members with f''(0) = 0.
+    """Pre-Schwarzian norm <= 2 cos alpha for members with f''(0) = 0.  Both
+    norms are computed (weighted_norms), so T44 and T45 then reuse the scan.
     ``workers`` is ignored: scans run serially."""
     return _norm_bound_report("T43", f, alpha, plan, 1, 2.0 * alpha.cos, tol,
                               _f2_zero_gate(f, _HYPOTHESIS_NOT_MET))
@@ -230,6 +232,7 @@ def verify_T44(f: AnalyticFn, alpha: Alpha, plan: SamplingPlan,
     |1 - b| = |sin alpha|.  It therefore fails for alpha != 0: the member
     f' = (1 - z^2)^(-b) has norm 2 cos alpha sqrt(4 - 3 cos^2 alpha)
     (tests/test_theorems.py::test_t44_printed_bound_falsified_by_power_member).
+    Both norms are computed (weighted_norms), shared with T43 and T45.
     ``workers`` is ignored: scans run serially.
     """
     c = alpha.cos

@@ -8,8 +8,9 @@ import pytest
 from disknorms import (Alpha, AnalyticFn, HalfPlane, Identity, Koebe, Moebius, Polynomial,
                        RationalField, RobertsonExtremal, SeriesFn, SpiralPower, TaylorSeries,
                        NonFiniteValue, OutsideGuardRadius, VanishingDerivative, eval_derivatives,
-                       quadrature_complex, random_disk_points, random_member,
+                       SamplingPlan, quadrature_complex, random_disk_points, random_member,
                        second_deriv_origin)
+from disknorms.derivatives import weighted_norm, weighted_norms
 
 FD_STEP = 1e-5
 
@@ -180,6 +181,20 @@ def test_taylor_agrees_with_value_inside_half_disk():
         series_fn = fn.taylor(order=128)
         for z in random_disk_points(20, seed=23, radius=0.5):
             assert abs(series_fn.value(z) - fn.value(z)) < 1e-10, fn.name
+
+
+def _estimate_bits(est):
+    """Every field of a NormEstimate, floats by float.hex."""
+    return (est.value.hex(), est.witness.real.hex(), est.witness.imag.hex(), est.witness_r.hex(),
+            est.witness_theta.hex(), est.weight_exponent, est.converged, est.depth_used)
+
+
+@pytest.mark.parametrize("fn", catalog_entries(), ids=lambda f: f.name)
+def test_weighted_norms_equal_two_single_scans(fn):
+    """The one grid pass of both norms gives each estimate bit for bit."""
+    plan = SamplingPlan()
+    assert ([_estimate_bits(e) for e in weighted_norms(fn, plan)]
+            == [_estimate_bits(weighted_norm(fn, k, plan)) for k in (1, 2)])
 
 
 def test_second_deriv_origin_examples():

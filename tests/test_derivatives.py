@@ -13,7 +13,9 @@ from disknorms import (Alpha, DerivStack, HalfPlane, Identity, Koebe, Moebius,
                        random_member, robertson_margin, schwarzian_at,
                        schwarzian_extremal_closed, schwarzian_series)
 from disknorms.catalog import CLOSED_FORM_CEILING, AnalyticFn, ZTimesDerivative
-from disknorms.derivatives import _field, pre_schwarzian_of, schwarzian_of, weighted_norm
+from disknorms.derivatives import (_field, pre_schwarzian_of, schwarzian_of, weighted_norm,
+                                   weighted_norms)
+from disknorms.series import TaylorSeries
 from disknorms.theorems import verify_T41
 
 
@@ -207,6 +209,65 @@ def test_member_taylor_is_its_series_scanned_to_the_guard_radius():
     assert type(t) is SeriesFn
     assert t.series is m.series
     assert _field(t, 1)[1] == 0.95
+
+
+
+def test_member_taylor_builds_the_requested_order_and_guard_radius():
+    m = random_member(Alpha(0.5), 3, 2)
+    t = m.taylor(order=32, guard_radius=0.5)
+    assert (t.series.order, t.series.guard_radius) == (32, 0.5)
+    for c, ref in zip(t.series.coeffs, m.series.coeffs):
+        assert abs(c - ref) <= 1e-14 * max(1.0, abs(ref))
+
+
+def _estimate_bits(est):
+    """Every field of a NormEstimate, floats by float.hex."""
+    return (est.value.hex(), est.witness.real.hex(), est.witness.imag.hex(), est.witness_r.hex(),
+            est.witness_theta.hex(), est.weight_exponent, est.converged, est.depth_used)
+
+
+def _both_norms(scan):
+    """The bits of both estimates scan() returns (a list), or the type and
+    message of the exception it raises (a tuple)."""
+    try:
+        return [_estimate_bits(e) for e in scan()]
+    except Exception as exc:  # the outcome compared is the exception itself
+        return type(exc), str(exc)
+
+
+def _assert_one_pass_equals_two_scans(fn, plan):
+    assert (_both_norms(lambda: weighted_norms(fn, plan))
+            == _both_norms(lambda: [weighted_norm(fn, k, plan) for k in (1, 2)])), fn.name
+
+
+@settings(max_examples=15, deadline=None)
+@given(aval=st.floats(-1.5, 1.5), theta=st.floats(-math.pi, math.pi))
+@example(aval=0.6, theta=math.pi / 128)
+def test_weighted_norms_of_rotated_closed_forms_equal_two_single_scans(aval, theta):
+    for fn in _closed_forms(Alpha(aval), cmath.exp(1j * theta)):
+        _assert_one_pass_equals_two_scans(fn, SamplingPlan())
+
+
+@settings(max_examples=20, deadline=None)
+@given(aval=st.floats(-1.3, 1.3), seed=st.integers(0, 2 ** 31 - 1),
+       degree=st.integers(1, 3), zero_f2=st.booleans())
+def test_weighted_norms_of_members_equal_two_single_scans(aval, seed, degree, zero_f2):
+    _assert_one_pass_equals_two_scans(random_member(Alpha(aval), seed, degree, zero_f2),
+                                      SamplingPlan())
+
+
+def test_weighted_norms_without_rational_fields_are_two_single_scans():
+    """Kinds without rational fields give the two scans' results, or raise
+    their exception: f' = 0 at the first grid point, a pole there, and a
+    series that is not normalized."""
+    plan = SamplingPlan(radial_count=16, angular_count=32)
+    raising = (Polynomial((0, 0, 1)), Moebius(1, 1, 1, 0),
+               SeriesFn(TaylorSeries([0, 2, 1]), require_normalized=False))
+    for fn in (Moebius(1.0, 0.3, 0.2, 1.0), Polynomial((0, 1, 0.2, -0.1j, 0.05)),
+               ZTimesDerivative(Koebe()), Koebe().taylor()) + raising:
+        assert fn.pre_schwarzian_field is None
+        _assert_one_pass_equals_two_scans(fn, plan)
+        assert (type(_both_norms(lambda: weighted_norms(fn, plan))) is tuple) == (fn in raising)
 
 
 # (alpha, seed, degree, f''(0) = 0) of members whose Schwarzian norm scans end

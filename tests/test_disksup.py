@@ -205,6 +205,23 @@ def test_ring_points_are_the_grid_points_bit_for_bit(m, r):
     assert bits(ring_points(r, m)) == bits(_point(r, 2.0 * math.pi * j / m) for j in range(m))
 
 
+def test_nan_scores_never_win():
+    """A NaN score wins no grid cell and blocks none after it, also as the
+    first score of a ring, where a bare max() would keep it and lose the ring."""
+    def g(z):  # NaN on the real axis past 0.3
+        return math.nan if z.imag == 0.0 and z.real > 0.3 else 1.0 / (1.0 - z)
+
+    def g0(z):  # NaN at the first point of every ring, and on all of the r = 0 ring
+        return math.nan if z.imag == 0.0 and z.real >= 0.0 else 1.0 / (1.0 - z)
+    for ev in (g, g0):
+        est = weighted_sup(ev, 1, PLAN, r_limit=1 - 1e-6)
+        assert (est.value, est.witness_theta) == (1.9832932687795668, 0.0007669903939428206)
+        est = weighted_sup(ev, 2, PLAN, r_limit=1 - 1e-6)
+        assert (est.value, est.witness_theta) == (1.1851810019266797, 0.0030679615757712823)
+        rep = weighted_inf_re(ev, PLAN, r_limit=1 - 1e-6)
+        assert (rep.inf_value, rep.witness_theta) == (0.500000250000125, math.pi)
+
+
 # float.hex of (value, witness_r, witness_theta) of both norms at the default
 # plan, scanned through the closed forms' exact rational fields
 PINNED_NORMS = {

@@ -399,22 +399,42 @@ def test_margin_computed_once_per_member_alpha_and_plan(monkeypatch):
 
 
 def test_norm_estimate_computed_once_per_member_order_and_plan(monkeypatch):
-    """T44 and T45 share one Schwarzian scan per (f, plan); T43 scans f''/f'."""
-    from disknorms import theorems
-    calls = []
+    """T43, T44 and T45 share one grid pass of both norms per (f, plan): the
+    member's fields are evaluated once at each grid point, and the shared
+    reports are those of fresh members."""
+    from disknorms import disksup
+    from disknorms.catalog import RationalField
+    from disknorms.disksup import SCAN_CEILING, _scan_radii
+    evaluated, rings = [], []
+    ring_with, grid_ring = RationalField.ring_with, disksup.ring_points
 
-    def counted(f, k, plan):
-        calls.append((id(f), k, plan))
-        return weighted_norm(f, k, plan)
-    monkeypatch.setattr(theorems, "weighted_norm", counted)
+    def counted_ring_with(u, square):
+        ring = ring_with(u, square)
+
+        def counted(points):
+            evaluated.extend(points)
+            return ring(points)
+        return counted
+
+    def counted_ring_points(r, m):
+        rings.append(r)
+        return grid_ring(r, m)
+    monkeypatch.setattr(RationalField, "ring_with", counted_ring_with)
+    monkeypatch.setattr(disksup, "ring_points", counted_ring_points)
     a = Alpha(-0.6)
     coarse = SamplingPlan(radial_count=16, angular_count=32)
-    runs = [(verify, plan) for plan in (PLAN, coarse)
-            for verify in (verify_T43, verify_T44, verify_T45)]
+    plans = (PLAN, coarse)
+    runs = [(verify, plan) for plan in plans for verify in (verify_T43, verify_T44, verify_T45)]
     m = random_member(a, seed=5, degree=3, zero_second_deriv=True)
     shared = [verify(m, a, plan) for verify, plan in runs]
-    assert calls == [(id(m), k, plan) for plan in (PLAN, coarse) for k in (1, 2)]
-    # a report from a shared estimate is the one a fresh scan gives
+    radii = [_scan_radii(plan, min(plan.r_cap, SCAN_CEILING)) for plan in plans]
+    grid = [z for plan, rs in zip(plans, radii)
+            for r in rs for z in grid_ring(r, plan.angular_count)]
+    assert [(z.real.hex(), z.imag.hex()) for z in evaluated] == [
+        (z.real.hex(), z.imag.hex()) for z in grid]
+    # one ring pass for both norms and one for the shared membership margin
+    assert rings == [r for rs in radii for r in rs + rs]
+    monkeypatch.undo()
     assert shared == [verify(random_member(a, seed=5, degree=3, zero_second_deriv=True), a, plan)
                       for verify, plan in runs]
 
