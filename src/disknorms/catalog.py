@@ -559,22 +559,24 @@ class GeneratedMember(SeriesFn):
     With b = e^{-i alpha} cos alpha, membership means f''/f' = 2b phi/(1 - z phi)
     = 2b num/(den - z num), a RationalField exact on the whole open disk, and
     so is the Schwarzian derived from it.  The Taylor series of f, which the
-    pointwise values of f and its derivatives need, is built on first use and
-    trusted up to its guard radius (radius_limit).
+    pointwise values of f and its derivatives need, is built on first use by
+    one linear recurrence from the ODE (den - z num) f'' = 2b num f' (_series)
+    and trusted up to its guard radius (radius_limit).
     """
 
     def __init__(self, provenance: MemberProvenance):
         self.provenance = provenance
         alpha = provenance.alpha
-        self._two_b = 2 * (cmath.exp(-1j * alpha.value) * alpha.cos)
+        two_b = 2 * (cmath.exp(-1j * alpha.value) * alpha.cos)
         num, den = [1.0 + 0j], [1.0 + 0j]
         for a in provenance.blaschke_zeros:
             num = _poly_mul(num, [a, 1.0])
             den = _poly_mul(den, [1.0, a.conjugate()])
         if provenance.zero_second_deriv:
             num = [0j] + num
-        self._num = num
-        # den - z num: its roots, all on the unit circle, are the poles of both fields
+        # f''/f' = P/Q with P = 2b num and Q = den - z num, whose roots, all on
+        # the unit circle, are the poles of both fields
+        self._field_num = [two_b * c for c in num]
         self._pole_factor = _poly_sum((1.0, den), (-1.0, [0j] + num))
 
     @property
@@ -586,20 +588,27 @@ class GeneratedMember(SeriesFn):
         return self._series(DEFAULT_ORDER + 2, DEFAULT_GUARD_RADIUS)
 
     def _series(self, order: int, guard_radius: float) -> TaylorSeries:
-        """Integrates f''/f' = 2b num/(den - z num) at series level: one
-        quotient of polynomials to order - 2, f' = exp(integral), f = integral of f'."""
-        q = (TaylorSeries.from_polynomial([self._two_b * c for c in self._num], order - 2,
-                                          guard_radius)
-             / TaylorSeries.from_polynomial(self._pole_factor, order - 2, guard_radius))
-        return q.integrate().exp().integrate()
+        """f' = sum a_n z^n solves Q f'' = P f' with P = 2b num, Q = den - z num
+        and Q_0 = 1, so a_0 = 1 and, term by term, (n+1) a_{n+1} =
+        sum_i P_i a_{n-i} - sum_{i>=1} Q_i (n+1-i) a_{n+1-i}; f = integral of f'."""
+        p, q = self._field_num, self._pole_factor
+        a = [1.0 + 0j]
+        for n in range(order - 1):
+            s = 0j
+            for i in range(min(n, len(p) - 1) + 1):
+                s += p[i] * a[n - i]
+            for i in range(1, min(n + 1, len(q) - 1) + 1):
+                s -= q[i] * (n + 1 - i) * a[n + 1 - i]
+            a.append(s / (n + 1))
+        return TaylorSeries(a, guard_radius).integrate()
 
     @cached_property
     def pre_schwarzian_field(self) -> RationalField:
-        return RationalField([self._two_b * c for c in self._num], self._pole_factor)
+        return RationalField(self._field_num, self._pole_factor)
 
     def second_deriv_origin(self):
         """f''(0) = 2b phi(0) = 2b num(0), since den(0) = 1."""
-        return self._two_b * self._num[0]
+        return self._field_num[0]
 
     def taylor(self, order=DEFAULT_ORDER + 2, guard_radius=DEFAULT_GUARD_RADIUS):
         """SeriesFn of f's series of the given order, trusted to guard_radius."""

@@ -15,10 +15,11 @@ passes the radius r_limit up to which its evaluator is exact (the open disk
 for closed forms and generated class members, the guard radius for other
 series-backed functions).  The grid is scored one ring at a time: map, max
 and index score the values at ring_points(r, m) and keep the first best cell
-in scan order, never a NaN score.  Objectives whose values one ring
-evaluator gives share one grid pass (weighted_sups), then each refines and
-marches from its own winner.  One sampler takes every other sample:
-it evaluates the point, scores it, counts it and keeps the first best one.
+in scan order, never a NaN score; the ring at r = 0 is the one point 0j.
+Objectives whose values one ring evaluator gives share one grid pass
+(weighted_sups), then each refines and marches from its own winner.  One
+sampler takes every other sample: it evaluates the point, scores it, counts
+it and keeps the first best one.
 It re-scores the grid's first best cell in scan order uncounted, so the
 reported value is one that the evaluator returned at
 _point(witness_r, witness_theta).
@@ -117,10 +118,8 @@ def _ring_table(m: int) -> tuple[complex, ...]:
 
 
 def ring_points(r: float, m: int) -> list[complex]:
-    """The grid points _point(r, 2 pi j/m), j = 0..m-1, of one ring in scan order;
-    complex(r) * e equals them for r > 0 but flips some zeros' signs at r = 0."""
-    if r == 0.0:
-        return [complex(r * e.real, r * e.imag) for e in _ring_table(m)]
+    """The grid points _point(r, 2 pi j/m), j = 0..m-1, of one ring in scan order,
+    for r > 0 (at r = 0, complex(r) * e flips some zeros' signs)."""
     return list(map(complex(r).__mul__, _ring_table(m)))
 
 
@@ -145,8 +144,9 @@ class _Best:
 
 
 def _scan_radii(plan: SamplingPlan, cap: float) -> list[float]:
+    """Grid radii with sine spacing, clustered toward the cap; the first is
+    exactly 0, a ring that _optimize scores as the one point 0j."""
     n = plan.radial_count
-    # sine spacing: nodes cluster toward the cap, first node exactly 0
     return [cap * math.sin(0.5 * math.pi * i / (n - 1)) for i in range(n)]
 
 
@@ -165,7 +165,7 @@ def _optimize(objectives: Sequence[tuple[Callable, Callable, Callable]], plan: S
     # strict improvement keeps the first cell in scan order on ties
     tops = [(-math.inf, 0.0, 0)] * len(objectives)
     for r in radii:
-        values = ring(ring_points(r, m))
+        values = ring(ring_points(r, m) if r else [0j])
         for i, (_, weight, part) in enumerate(objectives):
             scores = list(map(functools.partial(operator.mul, weight(r)), map(part, values[i])))
             s = max(scores)
@@ -182,7 +182,7 @@ def _refine(best: _Best, r0: float, t0: float, plan: SamplingPlan, r_limit: floa
     """Refine around the grid winner (r0, t0), then march toward r_limit."""
     # the grid's cells are its samples; re-scoring the winner adds none
     best.sample(r0, t0)
-    best.samples = plan.radial_count * plan.angular_count
+    best.samples = (plan.radial_count - 1) * plan.angular_count + 1
 
     spacing0 = cap * math.sin(0.5 * math.pi / (plan.radial_count - 1))
     history = [best.score]
@@ -272,11 +272,10 @@ def weighted_sups(fields: Sequence[tuple[Callable[[complex], complex], int]],
 
 
 def weighted_inf_re(h: Callable[[complex], complex], plan: SamplingPlan,
-                    r_limit: float = CLOSED_FORM_CEILING, workers: int = 1) -> MarginReport:
+                    r_limit: float = CLOSED_FORM_CEILING) -> MarginReport:
     """Sampled infimum of Re h over |z| <= min(r_limit, SCAN_CEILING), as -sup(-Re h).
 
-    r_limit is the radius up to which h is exact (module docstring).
-    ``workers`` is ignored: the scan runs serially."""
+    r_limit is the radius up to which h is exact (module docstring)."""
     best = _optimize([(h, lambda r: -1.0, operator.attrgetter("real"))], plan, r_limit)[0][0]
     return MarginReport(-best.score, _point(best.r, best.theta), best.r, best.theta,
                         best.samples)

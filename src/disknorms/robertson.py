@@ -55,12 +55,10 @@ def is_certified_member(report: MarginReport, tol: float = TOL_MEMBERSHIP) -> bo
     return report.inf_value >= -tol
 
 
-def spirallike_margin(g: AnalyticFn, alpha: Alpha, plan: SamplingPlan,
-                      workers: int = 1) -> MarginReport:
+def spirallike_margin(g: AnalyticFn, alpha: Alpha, plan: SamplingPlan) -> MarginReport:
     """Sampled infimum of Re{e^{i alpha} z g'/g}.
 
     The functional extends to z = 0 with value e^{i alpha} by normalization.
-    ``workers`` is ignored: the scan runs serially.
     """
     if not g.is_normalized:
         raise ValueError(f"{g.name}: spirallike test needs a normalized function")

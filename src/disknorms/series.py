@@ -8,14 +8,6 @@ singularities, so the truncated polynomial is only trusted well inside).
 All operations are pure and return new series; results of binary
 operations are truncated to the smaller of the two orders, which keeps
 every coefficient exact up to floating-point rounding.
-
-Products and quotients stop their inner loops at an operand's last nonzero
-coefficient (the divisor's, for a quotient), so a polynomial factor of
-degree d costs O(dN) instead of O(N^2).  The skipped terms are exact zeros
-and the summation order is kept, so every coefficient is bit for bit the
-dense loop's: a sum that starts at +0j never becomes -0.0, and a dividend
-coefficient with a -0.0 part, whose sign subtracting a zero can flip, takes
-the dense loop.
 """
 
 from __future__ import annotations
@@ -39,20 +31,6 @@ def _check_finite(values: Iterable[complex]) -> None:
     for c in values:
         if not (math.isfinite(c.real) and math.isfinite(c.imag)):
             raise NonFiniteValue(f"non-finite coefficient {c!r}")
-
-
-def _degree(coeffs: Sequence[complex]) -> int:
-    """Index of the last nonzero coefficient (0 for the zero series)."""
-    k = len(coeffs) - 1
-    while k and not coeffs[k]:
-        k -= 1
-    return k
-
-
-def _negative_zero(c: complex) -> bool:
-    """Whether a part of c is -0.0, which subtracting a zero can turn into +0.0."""
-    return ((not c.real and math.copysign(1.0, c.real) < 0.0)
-            or (not c.imag and math.copysign(1.0, c.imag) < 0.0))
 
 
 class TaylorSeries:
@@ -95,18 +73,7 @@ class TaylorSeries:
                  guard_radius: float = DEFAULT_GUARD_RADIUS) -> "TaylorSeries":
         return cls.from_polynomial([value], order, guard_radius)
 
-    @classmethod
-    def variable(cls, order: int = DEFAULT_ORDER,
-                 guard_radius: float = DEFAULT_GUARD_RADIUS) -> "TaylorSeries":
-        """The series of z itself."""
-        return cls.from_polynomial([0.0, 1.0], order, guard_radius)
-
     # -- helpers -----------------------------------------------------------
-
-    def truncate(self, order: int) -> "TaylorSeries":
-        if order >= self.order:
-            return self
-        return TaylorSeries(self.coeffs[: order + 1], self.guard_radius)
 
     def shift_up(self) -> "TaylorSeries":
         """Multiply by z (coefficients move up one slot, order preserved)."""
@@ -137,14 +104,13 @@ class TaylorSeries:
     def __mul__(self, other: "TaylorSeries") -> "TaylorSeries":
         n, g = self._common(other)
         a, b = self.coeffs, other.coeffs
-        da, db = _degree(a), _degree(b)
         out = []
-        for k in range(min(n, da + db) + 1):
+        for k in range(n + 1):
             s = 0j
-            for j in range(max(0, k - db), min(k, da) + 1):
+            for j in range(k + 1):
                 s += a[j] * b[k - j]
             out.append(s)
-        return TaylorSeries(out + [0j] * (n + 1 - len(out)), g)
+        return TaylorSeries(out, g)
 
     def __truediv__(self, other: "TaylorSeries") -> "TaylorSeries":
         n, g = self._common(other)
@@ -153,14 +119,10 @@ class TaylorSeries:
             raise DivisionBySingularSeries(
                 f"divisor constant term {b0!r} below {SINGULAR_EPS}")
         a, b = self.coeffs, other.coeffs
-        db = _degree(b)
         out: list[complex] = []
         for k in range(n + 1):
             s = a[k]
-            lo = max(0, k - db)
-            if lo and _negative_zero(s):
-                lo = 0
-            for j in range(lo, k):
+            for j in range(k):
                 s -= out[j] * b[k - j]
             out.append(s / b0)
         return TaylorSeries(out, g)

@@ -115,9 +115,8 @@ def _membership_gate(theorem_id: str, f: AnalyticFn, alpha: Alpha, plan: Samplin
 
 
 def verify_T41(f: AnalyticFn, alpha: Alpha, plan: SamplingPlan,
-               tol: float = RESIDUAL_TOL, workers: int = 1) -> TheoremReport:
-    """Membership implies both pointwise characterizations (residuals >= 0).
-    ``workers`` is ignored: scans run serially."""
+               tol: float = RESIDUAL_TOL) -> TheoremReport:
+    """Membership implies both pointwise characterizations (residuals >= 0)."""
     margin, refusal = _membership_gate("T41", f, alpha, plan,
                                        note="the implications are vacuous: ")
     if refusal is not None:
@@ -164,10 +163,10 @@ def _pointwise_bound_report(theorem_id: str, quantity: str, f: AnalyticFn, alpha
 
 
 def verify_T42_distortion(f: AnalyticFn, alpha: Alpha, points: Sequence[complex],
-                          tol: float = DISTORTION_TOL, plan: Optional[SamplingPlan] = None,
-                          workers: int = 1) -> TheoremReport:
+                          tol: float = DISTORTION_TOL,
+                          plan: Optional[SamplingPlan] = None) -> TheoremReport:
     """(1+|z|^2)^(-cos a) <= |f'(z)| <= (1-|z|^2)^(-cos a) for certified members
-    with f''(0) = 0.  ``workers`` is ignored: scans run serially."""
+    with f''(0) = 0."""
     c = alpha.cos
 
     def bounds(z: complex) -> tuple[float, float]:
@@ -179,10 +178,10 @@ def verify_T42_distortion(f: AnalyticFn, alpha: Alpha, points: Sequence[complex]
 
 
 def verify_T42_growth(f: AnalyticFn, alpha: Alpha, points: Sequence[complex],
-                      tol: float = GROWTH_TOL, plan: Optional[SamplingPlan] = None,
-                      workers: int = 1) -> TheoremReport:
+                      tol: float = GROWTH_TOL,
+                      plan: Optional[SamplingPlan] = None) -> TheoremReport:
     """Growth integrals (growth_bounds) bound |f(z)| for certified members
-    with f''(0) = 0.  ``workers`` is ignored: scans run serially."""
+    with f''(0) = 0."""
 
     def bounds(z: complex) -> tuple[float, float]:
         gb = growth_bounds(abs(z), alpha)

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from disknorms import (Alpha, DivisionBySingularSeries, OutsideGuardRadius, TaylorSeries,
                        random_member)
+from disknorms.catalog import _poly_mul
 from disknorms.errors import NonFiniteValue
 
 
@@ -166,7 +167,7 @@ def test_functional_aliases_match_methods():
     assert dn.series_eval(a, 0.3 + 0.1j) == a.eval(0.3 + 0.1j)
 
 
-# -- sparse kernels against the textbook loops --------------------------------
+# -- kernels against the textbook loops ---------------------------------------
 
 def _dense_mul(a, b):
     """The textbook O(N^2) product loop, every j in 0..k."""
@@ -196,7 +197,7 @@ def _hex(coeffs):
     return [(c.real.hex(), c.imag.hex()) for c in coeffs]
 
 
-_SPARSE = [poly(c, order=24) for c in (
+_POLYNOMIAL = [poly(c, order=24) for c in (
     [0.7 - 0.2j], [1.0, -0.55 + 0.3j], [0.9j, 0.25, -0.4 + 0.1j],
     [1.0 - 0.5j, 0.3, 0.0, -0.2 + 0.6j])]
 _DENSE = [TaylorSeries([complex(math.cos(3 * k + i), math.sin(5 * k - i)) / (k + 1)
@@ -208,35 +209,35 @@ _SIGNED = [poly([complex(-0.0, 0.5), complex(-1.0, -0.0)] + [complex(-0.0, -0.0)
                         + [complex(0.25, -0.0)] + [complex(-0.0, 0.0)] * 17)]
 
 
-def test_sparse_kernels_match_dense_loops_bit_for_bit():
-    """Skipping the products past an operand's last nonzero coefficient
-    changes no bit, signed zeros included."""
-    operands = _SPARSE + _DENSE + _SIGNED
+def test_kernels_match_textbook_loops_bit_for_bit():
+    """Products and quotients of polynomials, dense series and operands with
+    signed zeros are the textbook loops' bit for bit."""
+    operands = _POLYNOMIAL + _DENSE + _SIGNED
     for i, a in enumerate(operands):
         for j, b in enumerate(operands):
             assert _hex((a * b).coeffs) == _hex(_dense_mul(a, b)), (i, j)
             assert _hex((a / b).coeffs) == _hex(_dense_div(a, b)), (i, j)
 
 
-def test_sparse_division_keeps_negative_zero_of_the_dividend():
+def test_division_keeps_negative_zero_of_the_dividend():
     """Subtracting a zero product can turn a -0.0 part of the dividend into
-    +0.0, so the products the sparse loop would skip still decide the sign;
-    the quotient keeps the dense loop's."""
+    +0.0, so the products with zero coefficients of the divisor still decide
+    the sign; the quotient keeps the textbook loop's."""
     a = TaylorSeries([complex(-0.0, -0.0)] * 9)
     b = poly([1.0, 0.5], order=8)
     quotient = (a / b).coeffs
     assert _hex(quotient) == _hex(_dense_div(a, b))
-    # subtracting the skipped product out[0] * b[2] = (-0, +0) turns the real
+    # subtracting the zero product out[0] * b[2] = (-0, +0) turns the real
     # part of a[2] = (-0, -0) into +0
     assert _hex(quotient[2:3]) == [("0x0.0p+0", "-0x0.0p+0")]
 
 
 # float.hex of every coefficient of f, one "re im" line each, hashed
 MEMBER_COEFF_SHA256 = {
-    (0.5, 3, 3, True): "2da7e9e240a34fefaa20fc96435db2d43ae2991e91fd40993a7fb44763756680",
-    (-1.1, 7, 1, False): "9fec0d04b875ff87c4a385528ac4fa248ae0f30e8e54852d58b5757512a1d2f8",
-    (0.0, 11, 2, True): "d04bd3d6c32ff454d5de8633ed995a14fb419d05f0a727affcba6579a4685d9c",
-    (-0.4, 25, 3, False): "26df86038235629f89b795397d901c155f49f7280a0565c00dde97bdac2ce4f8",
+    (0.5, 3, 3, True): "71dba146f7fdd0047de30f034b3a1dd71275080cc37e5b431e82a0b89b7e8e05",
+    (-1.1, 7, 1, False): "5f65601ebbf427c291217c3876dd5a7d50fd231777e18658a6ee705ad0229e4b",
+    (0.0, 11, 2, True): "62fd8a97984cca4d35f7254c8913a60905401f9993ed3bd5a77b227c06866c06",
+    (-0.4, 25, 3, False): "405bbcf05d2c9755f07879121d6e0b1e3bf6527effdc67885a16bb548f9dda43",
 }
 
 
@@ -270,15 +271,41 @@ _REFERENCE_MEMBERS = sorted(MEMBER_COEFF_SHA256) + [
 
 
 def test_random_member_series_matches_blaschke_reference():
-    """The series built from the member's polynomials, one quotient by
-    den - z num, agrees with the series-level Blaschke construction up to
-    rounding."""
+    """The series built from the member's ODE recurrence agrees with the
+    series-level Blaschke construction up to rounding."""
     for aval, seed, degree, zero_f2 in _REFERENCE_MEMBERS:
         m = random_member(Alpha(aval), seed, degree, zero_f2)
         ref = _blaschke_series(m)
         assert m.series.order == ref.order
         for c, r in zip(m.series.coeffs, ref.coeffs):
             assert abs(c - r) <= 1e-14 * max(1.0, abs(r)), (aval, seed, degree, zero_f2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(aval=st.floats(-1.5, 1.5), seed=st.integers(0, 2 ** 31 - 1),
+       degree=st.integers(1, 3), zero_f2=st.booleans())
+def test_random_member_series_solves_its_ode(aval, seed, degree, zero_f2):
+    """f' of a member solves Q f'' = P f' with P = 2b num and Q = den - z num,
+    num and den from its Blaschke zeros: every coefficient n <= order - 2 of
+    Q f'' - P f' is rounding next to the moduli of its terms."""
+    m = random_member(Alpha(aval), seed, degree, zero_f2)
+    prov = m.provenance
+    num, den = [1.0 + 0j], [1.0 + 0j]
+    for a in prov.blaschke_zeros:
+        num = _poly_mul(num, [a, 1.0])
+        den = _poly_mul(den, [1.0, a.conjugate()])
+    if zero_f2:
+        num = [0j] + num
+    two_b = 2 * cmath.exp(-1j * prov.alpha.value) * prov.alpha.cos
+    p = [two_b * c for c in num]
+    zn = [0j] + num  # longer than den
+    q = [(den[i] if i < len(den) else 0j) - c for i, c in enumerate(zn)]
+    d1 = m.series.diff().coeffs
+    d2 = m.series.diff().diff().coeffs
+    for n in range(m.series.order - 1):
+        terms = ([qi * d2[n - i] for i, qi in enumerate(q) if i <= n]
+                 + [-pi * d1[n - i] for i, pi in enumerate(p) if i <= n])
+        assert abs(sum(terms)) <= 1e-14 * sum(map(abs, terms)), (n, aval, seed, degree)
 
 
 # -- hypothesis properties --------------------------------------------------

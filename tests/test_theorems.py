@@ -117,12 +117,6 @@ def test_norm_verifiers_deterministic():
     m = random_member(a, seed=2, degree=2, zero_second_deriv=True)
     assert verify_T44(m, a, PLAN) == verify_T44(m, a, PLAN)
     assert verify_T43(m, a, PLAN, workers=1) == verify_T43(m, a, PLAN, workers=4)
-    pts = random_disk_points(5, seed=9)
-    assert verify_T41(m, a, PLAN, workers=1) == verify_T41(m, a, PLAN, workers=3)
-    assert (verify_T42_distortion(m, a, pts, plan=PLAN, workers=1)
-            == verify_T42_distortion(m, a, pts, plan=PLAN, workers=3))
-    assert (verify_T42_growth(m, a, pts, plan=PLAN, workers=1)
-            == verify_T42_growth(m, a, pts, plan=PLAN, workers=3))
     for verify in (verify_T44, verify_T45):
         assert verify(m, a, PLAN, workers=1) == verify(m, a, PLAN, workers=3)
 
@@ -428,12 +422,13 @@ def test_norm_estimate_computed_once_per_member_order_and_plan(monkeypatch):
     m = random_member(a, seed=5, degree=3, zero_second_deriv=True)
     shared = [verify(m, a, plan) for verify, plan in runs]
     radii = [_scan_radii(plan, min(plan.r_cap, SCAN_CEILING)) for plan in plans]
+    # the r = 0 ring is the one point 0j, which takes no ring_points call
     grid = [z for plan, rs in zip(plans, radii)
-            for r in rs for z in grid_ring(r, plan.angular_count)]
+            for r in rs for z in (grid_ring(r, plan.angular_count) if r else [0j])]
     assert [(z.real.hex(), z.imag.hex()) for z in evaluated] == [
         (z.real.hex(), z.imag.hex()) for z in grid]
     # one ring pass for both norms and one for the shared membership margin
-    assert rings == [r for rs in radii for r in rs + rs]
+    assert rings == [r for rs in radii for r in rs[1:] + rs[1:]]
     monkeypatch.undo()
     assert shared == [verify(random_member(a, seed=5, degree=3, zero_second_deriv=True), a, plan)
                       for verify, plan in runs]
