@@ -15,8 +15,8 @@ from .errors import (DiskNormsError, DivisionBySingularSeries, MaxSubdivisions,
 from .quadrature import quadrature, quadrature_complex
 from .robertson import (CriterionRow, PhiTransform, UnivalenceVerdict,
                         characterization_residuals, cubic_root, duality_check,
-                        is_certified_member, phi_transform, robertson_margin,
-                        spirallike_margin, univalence_criteria)
+                        is_certified_member, membership_certificate, phi_transform,
+                        robertson_margin, spirallike_margin, univalence_criteria)
 from .series import (TaylorSeries, series_diff, series_div, series_eval,
                      series_exp, series_integrate, series_log, series_mul,
                      series_pow)
@@ -42,7 +42,7 @@ __all__ = [
     "quadrature", "quadrature_complex",
     "CriterionRow", "PhiTransform", "UnivalenceVerdict",
     "characterization_residuals", "cubic_root", "duality_check",
-    "is_certified_member", "phi_transform", "robertson_margin",
+    "is_certified_member", "membership_certificate", "phi_transform", "robertson_margin",
     "spirallike_margin", "univalence_criteria",
     "TaylorSeries", "series_diff", "series_div", "series_eval", "series_exp",
     "series_integrate", "series_log", "series_mul", "series_pow",

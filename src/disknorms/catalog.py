@@ -192,7 +192,7 @@ class AnalyticFn:
             raise OutsideGuardRadius(
                 f"{self.name}: |z| = {abs(z):.6g} exceeds limit {self.radius_limit}")
         try:
-            values = tuple(self._derivative(z, k) for k in range(lo, hi + 1))
+            values = self._derivatives(z, lo, hi)
             finite = all(map(cmath.isfinite, values))
         except (ZeroDivisionError, OverflowError):
             finite = False
@@ -202,6 +202,11 @@ class AnalyticFn:
             raise VanishingDerivative(
                 f"{self.name}: |f'({z!r})| = {abs(values[1 - lo]):.3g} breaks local univalence")
         return values
+
+    def _derivatives(self, z: complex, lo: int, hi: int) -> tuple[complex, ...]:
+        """(f^(lo)(z), ..., f^(hi)(z)), unguarded: one _derivative per order,
+        unless a subclass shares work between orders."""
+        return tuple(self._derivative(z, k) for k in range(lo, hi + 1))
 
     def _derivative(self, z: complex, k: int) -> complex:
         """f^(k)(z), unguarded."""
@@ -494,9 +499,10 @@ class ZTimesDerivative(AnalyticFn):
 
     Used for the duality transfer between the convexity-type and
     spirallikeness-type margins: z g'/g = 1 + z f''/f' identically.  Each
-    derivative g^(k) = k f^(k) + z f^(k+1) comes from the base's guarded jet,
-    so g needs neither the value of f nor more orders of f than it returns
-    plus one.
+    derivative g^(k) = k f^(k) + z f^(k+1) (g = z f' for k = 0) comes from
+    one call of the base's guarded jet per jet of g, for the orders
+    max(lo, 1)..hi + 1, so g needs neither the value of f nor any order of f
+    twice.
     """
 
     def __init__(self, base: AnalyticFn):
@@ -511,11 +517,11 @@ class ZTimesDerivative(AnalyticFn):
     def radius_limit(self):
         return self.base.radius_limit
 
-    def _derivative(self, z, k):
-        if k == 0:
-            return z * self.base.jet(z, 1, 1)[0]
-        fk, fk1 = self.base.jet(z, k, k + 1)
-        return k * fk + z * fk1
+    def _derivatives(self, z, lo, hi):
+        first = max(lo, 1)
+        fs = self.base.jet(z, first, hi + 1)  # fs[j] = f^(first + j)(z)
+        return tuple(z * fs[0] if k == 0 else k * fs[k - first] + z * fs[k + 1 - first]
+                     for k in range(lo, hi + 1))
 
 
 def eval_derivatives(f: AnalyticFn, z: complex) -> DerivStack:

@@ -1,10 +1,15 @@
 """Membership certification and characterization residuals for the class.
 
 A normalized f belongs to the angle-alpha class when
-Re{e^{i alpha}(1 + z f''/f')} > 0 on the disk; the module samples that
-functional's infimum, transfers it to the spirallike form z g'/g for
-g = z f', extracts the analytic self-map phi behind the subordination,
-and evaluates the two equivalent pointwise characterizations.
+Re{e^{i alpha}(1 + z f''/f')} > 0 on the disk.  membership_certificate
+certifies that exactly for a generated member at its own alpha, from the
+Blaschke zeros it was built from; for every other function only the
+sampled infimum of the functional (robertson_margin) is available, an
+upper bound of the true infimum, which certifies nothing but is the gate
+the verifiers apply.  The module also transfers the functional to the
+spirallike form z g'/g for g = z f', extracts the analytic self-map phi
+behind the subordination, and evaluates the two equivalent pointwise
+characterizations.
 """
 
 from __future__ import annotations
@@ -34,6 +39,23 @@ def robertson_functional(f: AnalyticFn, alpha: Alpha) -> Callable[[complex], com
     return h
 
 
+def membership_certificate(f: AnalyticFn, alpha: Alpha) -> bool:
+    """True when f is a member of the angle-alpha class by construction;
+    False means undecided, not refuted.
+
+    f is certified when it carries the provenance of a generated member
+    built at this alpha whose stored Blaschke zeros all satisfy |a| < 1.
+    Then z phi is a finite Blaschke product, |z phi| < 1 on the open disk,
+    and f''/f' = 2b phi/(1 - z phi), b = e^{-i alpha} cos alpha, gives
+    Re{e^{i alpha}(1 + z f''/f')} = cos alpha (1 - |z phi|^2)/|1 - z phi|^2
+    > 0 there.  A member checked at another alpha, or a provenance with a
+    zero on or outside the circle (or a non-finite one), is undecided.
+    """
+    prov = getattr(f, "provenance", None)
+    return (prov is not None and prov.alpha == alpha
+            and all(abs(a) < 1.0 for a in prov.blaschke_zeros))
+
+
 def robertson_margin(f: AnalyticFn, alpha: Alpha, plan: SamplingPlan,
                      workers: int = 1) -> MarginReport:
     """Sampled infimum of the defining real-part functional.
@@ -41,9 +63,10 @@ def robertson_margin(f: AnalyticFn, alpha: Alpha, plan: SamplingPlan,
     The scan covers the disk up to the radius where f''/f' is exact: the
     open disk, up to SCAN_CEILING, for closed forms and generated members
     (whose f''/f' is rational), the guard radius for other series-backed f.
-    Membership is certified when the infimum stays above -TOL_MEMBERSHIP,
-    a slack for rounding and for the truncation error of such series.
-    ``workers`` is ignored: the scan runs serially.
+    A sampled infimum bounds the true one from above only, so it certifies
+    nothing; the verifiers still gate on it (is_certified_member) every
+    function that membership_certificate leaves undecided, and T41 reports
+    it for every function.  ``workers`` is ignored: the scan runs serially.
     """
     if not f.is_normalized:
         raise ValueError(f"{f.name}: membership test needs a normalized function")
@@ -52,6 +75,12 @@ def robertson_margin(f: AnalyticFn, alpha: Alpha, plan: SamplingPlan,
 
 
 def is_certified_member(report: MarginReport, tol: float = TOL_MEMBERSHIP) -> bool:
+    """Whether a sampled margin passes the verifiers' membership gate: its
+    infimum stays above -tol, a slack for rounding and for the truncation
+    error of series-backed f.  The gate applies it only to the functions
+    that membership_certificate leaves undecided (closed forms, series,
+    members at another alpha or with a zero outside the open disk); passing
+    it is evidence from samples, not a proof of membership."""
     return report.inf_value >= -tol
 
 

@@ -7,6 +7,12 @@ step that needs phi(0) = 0, equivalently f''(0) = 0; the half-plane map
 hypothesis cannot be dropped, so verifiers refuse with precondition_unmet
 instead of failing when f''(0) != 0 or when membership cannot be certified.
 Norm estimates are still computed and reported in those cases.
+
+Membership of a generated member at its own alpha is certified exactly, by
+construction (robertson.membership_certificate), and no margin is scanned
+for it; every other function passes the gate only when its sampled margin
+(robertson_margin) stays above -TOL_MEMBERSHIP, evidence from samples and
+not a proof.  T41 reports the sampled margin of every function.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from .derivatives import pre_schwarzian_inf_re, weighted_norms
 from .disksup import MarginReport, SamplingPlan
 from .quadrature import quadrature
 from .robertson import (characterization_residuals_of, is_certified_member,
-                        robertson_margin)
+                        membership_certificate, robertson_margin)
 
 PASS = "pass"
 FAIL = "fail"
@@ -99,16 +105,23 @@ def _scan_once(f: AnalyticFn, key: object, scan: Callable[[], object]):
     return memo[key]
 
 
+def _sampled_margin(f: AnalyticFn, alpha: Alpha, plan: SamplingPlan) -> MarginReport:
+    """robertson_margin(f, alpha, plan), scanned once per (alpha, plan) on f."""
+    return _scan_once(f, (alpha, plan), lambda: robertson_margin(f, alpha, plan))
+
+
 def _membership_gate(theorem_id: str, f: AnalyticFn, alpha: Alpha, plan: SamplingPlan,
                      note: str = "", side: str = "", estimate: Optional[float] = None,
-                     bound: Optional[float] = None
-                     ) -> tuple[MarginReport, Optional[TheoremReport]]:
-    """The membership margin of f, and the precondition_unmet report that
-    refuses f when the margin does not certify it (None when it does)."""
-    margin = _scan_once(f, (alpha, plan), lambda: robertson_margin(f, alpha, plan))
+                     bound: Optional[float] = None) -> Optional[TheoremReport]:
+    """None when f passes the membership gate, else the precondition_unmet
+    report that refuses it.  A membership_certificate passes f with no scan;
+    otherwise f passes when its sampled margin does (is_certified_member)."""
+    if membership_certificate(f, alpha):
+        return None
+    margin = _sampled_margin(f, alpha, plan)
     if is_certified_member(margin):
-        return margin, None
-    return margin, TheoremReport(
+        return None
+    return TheoremReport(
         theorem_id, PRECONDITION_UNMET, 0.0, margin.witness,
         "not certified as a class member; " + note + _margin_detail(margin) + side,
         estimate=estimate, bound=bound)
@@ -116,11 +129,12 @@ def _membership_gate(theorem_id: str, f: AnalyticFn, alpha: Alpha, plan: Samplin
 
 def verify_T41(f: AnalyticFn, alpha: Alpha, plan: SamplingPlan,
                tol: float = RESIDUAL_TOL) -> TheoremReport:
-    """Membership implies both pointwise characterizations (residuals >= 0)."""
-    margin, refusal = _membership_gate("T41", f, alpha, plan,
-                                       note="the implications are vacuous: ")
+    """Membership implies both pointwise characterizations (residuals >= 0).
+    The details report the sampled margin, scanned for certified members too."""
+    refusal = _membership_gate("T41", f, alpha, plan, note="the implications are vacuous: ")
     if refusal is not None:
         return refusal
+    margin = _sampled_margin(f, alpha, plan)
 
     inf_ii, inf_iii = (pre_schwarzian_inf_re(f, res, plan)
                        for res in characterization_residuals_of(alpha))
@@ -144,7 +158,7 @@ def _pointwise_bound_report(theorem_id: str, quantity: str, f: AnalyticFn, alpha
     reason = _f2_zero_gate(f, _SCHWARZ_STEP)
     if reason is not None:
         return TheoremReport(theorem_id, PRECONDITION_UNMET, 0.0, None, reason)
-    _, refusal = _membership_gate(theorem_id, f, alpha, plan or SamplingPlan())
+    refusal = _membership_gate(theorem_id, f, alpha, plan or SamplingPlan())
     if refusal is not None:
         return refusal
     worst = 0.0
@@ -202,8 +216,8 @@ def _norm_bound_report(theorem_id: str, f: AnalyticFn, alpha: Alpha,
         return TheoremReport(theorem_id, PRECONDITION_UNMET, 0.0, est.witness,
                              extra_precondition + "; side report: " + side,
                              estimate=est.value, bound=bound)
-    _, refusal = _membership_gate(theorem_id, f, alpha, plan, side="; side report: " + side,
-                                  estimate=est.value, bound=bound)
+    refusal = _membership_gate(theorem_id, f, alpha, plan, side="; side report: " + side,
+                               estimate=est.value, bound=bound)
     if refusal is not None:
         return refusal
     viol = max(0.0, est.value - bound)

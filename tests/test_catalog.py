@@ -158,6 +158,43 @@ def test_series_fourth_derivative_series_built_once():
         "0x1.10cb02713f4c1p-4", "0x1.e666666666666p-1", "0x1.02655ffa5cefap+2", 721)
 
 
+def test_z_times_derivative_takes_one_base_jet_per_jet(monkeypatch):
+    """ZTimesDerivative.jet(z, lo, hi) asks its base once, for the orders
+    max(lo, 1)..hi + 1, and gives the values of g = z f' and
+    g^(k) = k f^(k) + z f^(k+1) from one base order each, bit for bit; the
+    base's f' guard applies exactly when g needs f' (lo <= 1)."""
+    from disknorms.catalog import ZTimesDerivative
+    m = random_member(Alpha(0.4), 3, 2, True)
+    g = ZTimesDerivative(m)
+    z = 0.3 + 0.4j
+
+    def per_order(k):
+        if k == 0:
+            return z * m.jet(z, 1, 1)[0]
+        fk, fk1 = m.jet(z, k, k + 1)
+        return k * fk + z * fk1
+    orders = [(0, 3), (0, 0), (1, 2), (2, 2), (1, 3), (2, 4)]
+    want = {(lo, hi): [per_order(k) for k in range(lo, hi + 1)] for lo, hi in orders}
+    calls, jet = [], m.jet
+
+    def counted(z, lo=0, hi=3):
+        calls.append((lo, hi))
+        return jet(z, lo, hi)
+    monkeypatch.setattr(m, "jet", counted)
+    for lo, hi in orders:
+        calls.clear()
+        got = g.jet(z, lo, hi)
+        assert calls == [(max(lo, 1), hi + 1)]
+        assert [(v.real.hex(), v.imag.hex()) for v in got] == [
+            (v.real.hex(), v.imag.hex()) for v in want[lo, hi]]
+    # f' = 1 - 2z vanishes at z = 1/2, where g' = 1 - 4z does not
+    g = ZTimesDerivative(Polynomial((0, 1, -1)))
+    for lo, hi in ((0, 0), (1, 1), (0, 3)):
+        with pytest.raises(VanishingDerivative):
+            g.jet(0.5, lo, hi)
+    assert g.jet(0.5, 2, 3) == (-4, 0)
+
+
 def test_extremal_alpha0_matches_artanh():
     """f_0(z) = (1/2) log((1+z)/(1-z)); the quadrature value must agree."""
     fn = RobertsonExtremal(Alpha(0.0))

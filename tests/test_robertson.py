@@ -4,11 +4,13 @@ import cmath
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from disknorms import (Alpha, HalfPlane, Identity, Koebe, RobertsonExtremal,
                        SamplingPlan, SpiralPower, ZTimesDerivative,
                        characterization_residuals, cubic_root, duality_check,
-                       is_certified_member, phi_transform, random_disk_points,
+                       is_certified_member, membership_certificate, phi_transform,
+                       random_disk_points,
                        random_member, robertson_margin, spirallike_margin,
                        univalence_criteria, verify_T41, weighted_sup)
 from disknorms.derivatives import pre_schwarzian_evaluator
@@ -62,6 +64,26 @@ def test_margin_generated_members():
                           zero_second_deriv=bool(seed % 2))
         rep = robertson_margin(m, a, PLAN)
         assert rep.inf_value >= -1e-6
+
+
+@settings(max_examples=25, deadline=None)
+@given(aval=st.floats(-1.5, 1.5), seed=st.integers(0, 2 ** 31 - 1),
+       degree=st.integers(1, 3), zero_f2=st.booleans())
+def test_member_margin_is_its_blaschke_identity(aval, seed, degree, zero_f2):
+    """The identity behind membership_certificate: for a generated member,
+    Re{e^{ia}(1 + z u)} with u its f''/f' field equals
+    cos a (1 - |z phi|^2)/|1 - z phi|^2 with phi from the provenance, and is
+    positive, up to |z| = 0.999."""
+    a = Alpha(aval)
+    m = random_member(a, seed, degree, zero_f2)
+    assert membership_certificate(m, a)
+    u, phi = m.pre_schwarzian_field, m.provenance.phi
+    ring = [0.999 * cmath.exp(2j * math.pi * k / 64) for k in range(64)]
+    for z in random_disk_points(64, seed=seed, radius=0.999) + ring:
+        w = z * phi(z)
+        exact = a.cos * (1.0 - abs(w)) * (1.0 + abs(w)) / abs(1.0 - w) ** 2
+        assert exact > 0.0
+        assert abs((a.phase * (1.0 + z * u(z))).real - exact) <= 1e-9 * exact, z
 
 
 # -- spirallike_margin -------------------------------------------------------

@@ -13,15 +13,19 @@ import math
 
 import pytest
 
-from disknorms import (Alpha, HalfPlane, Koebe, RobertsonExtremal,
-                       SamplingPlan, SeriesFn, SpiralPower, TaylorSeries,
-                       growth_bounds, lemma_schur_check, phi_transform,
+from hypothesis import assume, given, settings, strategies as st
+
+from disknorms import (Alpha, GeneratedMember, HalfPlane, Koebe, MemberProvenance,
+                       RobertsonExtremal, SamplingPlan, SeriesFn, SpiralPower,
+                       TaylorSeries, TheoremReport, growth_bounds, is_certified_member,
+                       lemma_schur_check, membership_certificate, phi_transform,
                        quadrature, random_disk_points, random_member,
                        robertson_margin, t45_bound, verify_T41,
                        verify_T42_distortion, verify_T42_growth, verify_T43,
                        verify_T44, verify_T45)
 from disknorms.derivatives import weighted_norm
-from disknorms.errors import MaxSubdivisions
+from disknorms.errors import DiskNormsError, MaxSubdivisions
+from test_catalog import catalog_entries
 
 PLAN = SamplingPlan()
 ATAN_HALF = 0.4636476090008061   # arctan(1/2)
@@ -372,7 +376,9 @@ def test_t45_printed_bound_falsified_for_some_members():
 
 
 def test_margin_computed_once_per_member_alpha_and_plan(monkeypatch):
-    """T43-T45 share one membership margin per (f, alpha, plan)."""
+    """T41-T45 share one sampled membership margin per (f, alpha, plan) on a
+    function with no membership certificate: a member's Taylor series, a
+    plain SeriesFn."""
     from disknorms import theorems
     calls = []
 
@@ -382,14 +388,20 @@ def test_margin_computed_once_per_member_alpha_and_plan(monkeypatch):
     monkeypatch.setattr(theorems, "robertson_margin", counted)
     a = Alpha(0.5)
     coarse = SamplingPlan(radial_count=16, angular_count=32)
-    runs = [(verify, plan) for plan in (PLAN, coarse)
-            for verify in (verify_T43, verify_T44, verify_T45)]
-    m = random_member(a, seed=2, degree=2, zero_second_deriv=True)
-    shared = [verify(m, a, plan) for verify, plan in runs]
-    assert calls == [(id(m), a, PLAN), (id(m), a, coarse)]
+    coarser = SamplingPlan(radial_count=8, angular_count=16)
+    pts = random_disk_points(10, seed=8, radius=0.9)
+    runs = [(verify, plan) for plan in (coarse, coarser)
+            for verify in (verify_T41, verify_T43, verify_T44, verify_T45,
+                           lambda f, a, plan: verify_T42_distortion(f, a, pts, plan=plan))]
+
+    def fresh():
+        return random_member(a, seed=2, degree=2, zero_second_deriv=True).taylor()
+    f = fresh()
+    shared = [verify(f, a, plan) for verify, plan in runs]
+    assert calls == [(id(f), a, coarse), (id(f), a, coarser)]
+    assert all(rep.status == "pass" for rep in shared)
     # a report from a shared margin is the one a fresh margin gives
-    assert shared == [verify(random_member(a, seed=2, degree=2, zero_second_deriv=True), a, plan)
-                      for verify, plan in runs]
+    assert shared == [verify(fresh(), a, plan) for verify, plan in runs]
 
 
 def test_norm_estimate_computed_once_per_member_order_and_plan(monkeypatch):
@@ -427,11 +439,94 @@ def test_norm_estimate_computed_once_per_member_order_and_plan(monkeypatch):
             for r in rs for z in (grid_ring(r, plan.angular_count) if r else [0j])]
     assert [(z.real.hex(), z.imag.hex()) for z in evaluated] == [
         (z.real.hex(), z.imag.hex()) for z in grid]
-    # one ring pass for both norms and one for the shared membership margin
-    assert rings == [r for rs in radii for r in rs[1:] + rs[1:]]
+    # one ring pass for both norms, and none for the membership margin, which
+    # the member's certificate makes unnecessary
+    assert rings == [r for rs in radii for r in rs[1:]]
     monkeypatch.undo()
     assert shared == [verify(random_member(a, seed=5, degree=3, zero_second_deriv=True), a, plan)
                       for verify, plan in runs]
+
+
+def test_certified_members_scan_no_margin_outside_t41(monkeypatch):
+    """A generated member at its own alpha passes the membership gate by its
+    certificate: T42d, T42g, T43, T44 and T45 never call robertson_margin and
+    give the reports of fresh members; T41 still reports the sampled margin,
+    scanned once."""
+    from disknorms import theorems
+    a = Alpha(-0.7)
+    plan = SamplingPlan(radial_count=16, angular_count=32)
+    pts = random_disk_points(15, seed=3, radius=0.9)
+    runs = [lambda f: verify_T42_distortion(f, a, pts, plan=plan),
+            lambda f: verify_T42_growth(f, a, pts, plan=plan),
+            lambda f: verify_T43(f, a, plan), lambda f: verify_T44(f, a, plan),
+            lambda f: verify_T45(f, a, plan)]
+    builds = [lambda: random_member(a, seed=4, degree=3, zero_second_deriv=True),
+              lambda: random_member(a, seed=9, degree=2)]
+    expected = [[run(build()) for run in runs] for build in builds]
+    t41 = [verify_T41(build(), a, plan) for build in builds]
+    members = [build() for build in builds]
+
+    def refuse(f, alpha, plan, workers=1):
+        raise AssertionError("a certified member's margin was scanned")
+    monkeypatch.setattr(theorems, "robertson_margin", refuse)
+    assert [[run(m) for run in runs] for m in members] == expected
+    assert [rep.status for rep in expected[0]] == ["pass"] * 5
+    calls = []
+
+    def counted(f, alpha, plan, workers=1):
+        calls.append(id(f))
+        return robertson_margin(f, alpha, plan)
+    monkeypatch.setattr(theorems, "robertson_margin", counted)
+    for m, want in zip(members, t41):
+        assert [verify_T41(m, a, plan), verify_T41(m, a, plan)] == [want, want]
+        assert "sampled membership margin" in want.details
+    assert calls == [id(m) for m in members]
+
+
+def _parent_gate(f, alpha, plan):
+    """The membership gate as the sampled margin alone decides it."""
+    margin = robertson_margin(f, alpha, plan)
+    if is_certified_member(margin):
+        return None
+    return TheoremReport(
+        "T43", "precondition_unmet", 0.0, margin.witness,
+        f"not certified as a class member; sampled membership margin "
+        f"{margin.inf_value:.6g} at z = {margin.witness!r}")
+
+
+def _outcome(gate, f, alpha, plan):
+    try:
+        return gate(f, alpha, plan)
+    except (DiskNormsError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=15, deadline=None)
+@given(aval=st.floats(-1.4, 1.4), other=st.floats(-1.4, 1.4),
+       seed=st.integers(0, 2 ** 31 - 1), degree=st.integers(1, 3), zero_f2=st.booleans(),
+       slot=st.integers(0, 2), psi=st.floats(0.0, 2 * math.pi))
+def test_gate_certifies_only_members_at_their_own_alpha(aval, other, seed, degree, zero_f2,
+                                                         slot, psi):
+    """No function outside the certificate's reach is certified, and the gate
+    refuses or passes each one as its sampled margin alone does: a hand-built
+    provenance with a zero of modulus 1.25, a member built at another alpha,
+    RobertsonExtremal(alpha != 0) and every catalog_entries() function."""
+    from disknorms.theorems import _membership_gate
+    assume(aval != other and aval != 0.9)  # catalog_entries() has a member at 0.9
+    a = Alpha(aval)
+    plan = SamplingPlan(radial_count=16, angular_count=32)
+    prov = random_member(a, seed, degree, zero_f2).provenance
+    zeros = list(prov.blaschke_zeros)
+    zeros[slot % degree] = 1.25 * cmath.exp(1j * psi)
+    hand = GeneratedMember(MemberProvenance(a, seed, degree, zero_f2, tuple(zeros), prov.gamma))
+    fns = [hand, random_member(Alpha(other), seed, degree, zero_f2), *catalog_entries()]
+    if aval != 0:
+        fns.append(RobertsonExtremal(a))
+    assert _outcome(_parent_gate, hand, a, plan) is not None
+    for f in fns:
+        assert not membership_certificate(f, a), f.name
+        assert _outcome(lambda *args: _membership_gate("T43", *args), f, a, plan) == \
+            _outcome(_parent_gate, f, a, plan), f.name
 
 
 # -- Lemma (Schur-class growth) ---------------------------------------------------
