@@ -1,8 +1,9 @@
 """Catalog of analytic functions on the unit disk behind one guarded jet.
 
-Each entry gives its k-th derivative, unguarded, as _derivative(z, k):
-closed-form entries (identity, half-plane map, Koebe, the extremal power
-families, Moebius maps, polynomials) by exact formulas, series-backed
+Each entry gives its k-th derivative, unguarded, as _derivative(z, k), or
+the orders lo..hi at once as _derivatives(z, lo, hi) where the orders share
+work: closed-form entries (identity, half-plane map, Koebe, the extremal
+power families, Moebius maps, polynomials) by exact formulas, series-backed
 entries from their termwise derivative series.  AnalyticFn.jet(z, lo, hi)
 returns the orders lo..hi and nothing more, and it alone applies the radius,
 finiteness and local-univalence guards.  A deterministic generator
@@ -93,6 +94,21 @@ class RationalField:
             q = q * z + c
         return p / q if self.power == 1 else p / (q * q)
 
+    def ring(self, points: list[complex]) -> list[complex]:
+        """[self(z) for z in points], bit for bit, from one call: num and den
+        take one Horner pass each per point, inlined as in __call__."""
+        p0, ps, q0, qs = self._horner
+        square = self.power == 2
+        out = []
+        for z in points:
+            p, q = p0, q0
+            for c in ps:
+                p = p * z + c
+            for c in qs:
+                q = q * z + c
+            out.append(p / (q * q) if square else p / q)
+        return out
+
     def ring_with(self, square: "RationalField"):
         """Evaluator of ([self(z) ...], [square(z) ...]) over a list of points,
         for this u = P/Q and a square = N/Q^2 over the same den: P, Q and N
@@ -159,8 +175,9 @@ def _unimodular(zeta: complex) -> complex:
 class AnalyticFn:
     """Base class: immutable analytic function behind one guarded jet.
 
-    A subclass gives the unguarded k-th derivative as _derivative(z, k);
-    jet applies every guard once, for every order it returns.
+    A subclass gives the unguarded k-th derivative as _derivative(z, k), or
+    overrides _derivatives(z, lo, hi) to share work between the orders; jet
+    applies every guard once, for every order it returns.
     """
 
     name = "analytic"
@@ -297,26 +314,37 @@ class RobertsonExtremal(AnalyticFn):
         # principal branch; 1 - w^2 has positive real part for |w| < 1
         return cmath.exp(-self.alpha.cos * cmath.log(1.0 - w * w))
 
-    def _derivative(self, z, k):
+    def _derivatives(self, z, lo, hi):
+        """f by quadrature, then f^(k) for 1 <= k <= 4 from one g = 1 - w^2
+        and one f' = F'(w), w = zeta z, which every order shares."""
         zt = self.zeta
         w = zt * z
-        if k == 0:
+        out = []
+        if lo == 0:
             if z == 0:
-                return 0j
-            integral = quadrature_complex(lambda t: self._fprime_base(t * w), 0.0, 1.0, 1e-12)
-            return zt.conjugate() * w * integral
+                out.append(0j)
+            else:
+                integral = quadrature_complex(lambda t: self._fprime_base(t * w), 0.0, 1.0,
+                                              1e-12)
+                out.append(zt.conjugate() * w * integral)
+        if hi < 1:
+            return tuple(out)
         c = self.alpha.cos
         g = 1.0 - w * w
         fp = self._fprime_base(w)
-        if k == 1:
-            return fp
-        if k == 2:
-            return zt * 2 * c * w * fp / g
-        if k == 3:
-            return zt * zt * 2 * c * (1 + (2 * c + 1) * w * w) * fp / (g * g)
-        if k == 4:
-            return zt ** 3 * 4 * c * (c + 1) * w * (3 + (2 * c + 1) * w * w) * fp / (g * g * g)
-        return super()._derivative(z, k)
+        for k in range(max(lo, 1), hi + 1):
+            if k == 1:
+                out.append(fp)
+            elif k == 2:
+                out.append(zt * 2 * c * w * fp / g)
+            elif k == 3:
+                out.append(zt * zt * 2 * c * (1 + (2 * c + 1) * w * w) * fp / (g * g))
+            elif k == 4:
+                out.append(zt ** 3 * 4 * c * (c + 1) * w * (3 + (2 * c + 1) * w * w) * fp
+                           / (g * g * g))
+            else:
+                super()._derivative(z, k)  # raises: no formula past order 4
+        return tuple(out)
 
     @cached_property
     def pre_schwarzian_field(self) -> RationalField:
@@ -347,18 +375,22 @@ class SpiralPower(AnalyticFn):
     def exponent(self) -> complex:
         return 2 * cmath.exp(-1j * self.alpha.value) * self.alpha.cos
 
-    def _derivative(self, z, k):
+    def _derivatives(self, z, lo, hi):
         """f^(k) = B(B+1)...(B+k-2) zeta^(k-1) (1 - zeta z)^(-(B+k-1)) for k >= 1,
-        B = exponent, and f = ((1 - zeta z)^(1-B) - 1)/(zeta (B - 1))."""
+        B = exponent, and f = ((1 - zeta z)^(1-B) - 1)/(zeta (B - 1)), from one
+        log(1 - zeta z) and one rising product, extended order by order."""
         b, zt = self.exponent, self.zeta
         logw = cmath.log(1.0 - zt * z)
-        if k == 0:
+        out = []
+        if lo == 0:
             # exponent 1 - B never vanishes for |alpha| < pi/2
-            return (cmath.exp((1 - b) * logw) - 1.0) / (zt * (b - 1))
+            out.append((cmath.exp((1 - b) * logw) - 1.0) / (zt * (b - 1)))
         rising = 1
-        for j in range(k - 1):
-            rising *= b + j
-        return rising * zt ** (k - 1) * cmath.exp(-(b + (k - 1)) * logw)
+        for k in range(1, hi + 1):
+            if k >= lo:
+                out.append(rising * zt ** (k - 1) * cmath.exp(-(b + (k - 1)) * logw))
+            rising *= b + (k - 1)
+        return tuple(out)
 
     @cached_property
     def pre_schwarzian_field(self) -> RationalField:

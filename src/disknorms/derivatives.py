@@ -117,6 +117,13 @@ def weighted_norms(f: AnalyticFn, plan: SamplingPlan) -> tuple[NormEstimate, Nor
 
 def pre_schwarzian_inf_re(f: AnalyticFn, post, plan: SamplingPlan) -> MarginReport:
     """Sampled infimum of Re post(z, u), u = f''(z)/f'(z), scanned up to the
-    radius where u stops being exact."""
+    radius where u stops being exact; a rational u gives the scan its values
+    one grid ring per call."""
     point, r_limit = _field(f, 1)
-    return weighted_inf_re(lambda z: post(z, point(z)), plan, r_limit=r_limit)
+
+    def h(z: complex) -> complex:
+        return post(z, point(z))
+    ring = getattr(point, "ring", None)
+    if ring is not None:
+        h.ring = lambda points: list(map(post, points, ring(points)))
+    return weighted_inf_re(h, plan, r_limit=r_limit)

@@ -16,13 +16,15 @@ for closed forms and generated class members, the guard radius for other
 series-backed functions).  The grid is scored one ring at a time: map, max
 and index score the values at ring_points(r, m) and keep the first best cell
 in scan order, never a NaN score; the ring at r = 0 is the one point 0j.
-Objectives whose values one ring evaluator gives share one grid pass
-(weighted_sups), then each refines and marches from its own winner.  One
-sampler takes every other sample: it evaluates the point, scores it, counts
-it and keeps the first best one.
-It re-scores the grid's first best cell in scan order uncounted, so the
-reported value is one that the evaluator returned at
-_point(witness_r, witness_theta).
+An evaluator with a ring method (a RationalField, or the real-part
+functional that derivatives builds over one) gives its values there one
+ring per call, bit for bit its pointwise values; any other callable is
+evaluated point by point.  Objectives whose values one ring evaluator gives
+share one grid pass (weighted_sups), then each refines and marches from its
+own winner.  One sampler takes every other sample: it evaluates the point,
+scores it, counts it and keeps the first best one.  It re-scores the grid's
+first best cell in scan order uncounted, so the reported value is one that
+the evaluator returned at _point(witness_r, witness_theta).
 
 The weight (1 - r^2) is always computed as (1 - r)(1 + r) from the grid
 radius, which stays exact to one ulp arbitrarily close to the boundary; the
@@ -154,14 +156,16 @@ def _optimize(objectives: Sequence[tuple[Callable, Callable, Callable]], plan: S
               r_limit: float, ring=None) -> list[tuple[_Best, bool, int]]:
     """Maximize weight(r) * part(field(z)) for each objective (field, weight, part)
     from one grid pass, where ring(points) gives every field's values at one
-    ring's points (by default each field mapped over them); returns
-    (best, converged, depth_used) for each."""
+    ring's points (by default each field's own ring(points) where it has one,
+    else one call per point); returns (best, converged, depth_used) for each."""
     r_limit = min(r_limit, SCAN_CEILING)
     cap = min(plan.r_cap, r_limit)
     radii = _scan_radii(plan, cap)
     m = plan.angular_count
     if ring is None:
-        ring = lambda points: [list(map(field, points)) for field, _, _ in objectives]
+        rings = [getattr(field, "ring", None) or functools.partial(map, field)
+                 for field, _, _ in objectives]
+        ring = lambda points: [field_ring(points) for field_ring in rings]
     # strict improvement keeps the first cell in scan order on ties
     tops = [(-math.inf, 0.0, 0)] * len(objectives)
     for r in radii:
@@ -251,8 +255,9 @@ def weighted_sup(g: Callable[[complex], complex], k: int, plan: SamplingPlan,
     """Lower bound of sup (1 - |z|^2)^k |g(z)| over |z| <= min(r_limit, SCAN_CEILING).
 
     The estimate bounds the sup of g itself only where g is exact, so
-    r_limit is the radius up to which it is (module docstring).
-    ``workers`` is ignored: the scan runs serially."""
+    r_limit is the radius up to which it is (module docstring).  A g with a
+    ring method is evaluated one grid ring per call, any other g point by
+    point.  ``workers`` is ignored: the scan runs serially."""
     return weighted_sups([(g, k)], plan, r_limit)[0]
 
 
@@ -260,7 +265,8 @@ def weighted_sups(fields: Sequence[tuple[Callable[[complex], complex], int]],
                   plan: SamplingPlan, r_limit: float = CLOSED_FORM_CEILING,
                   ring=None) -> list[NormEstimate]:
     """weighted_sup(g, k, plan, r_limit) for each (g, k) in fields, from one grid
-    pass; ring(points) gives every g's values at one ring's points."""
+    pass; ring(points) gives every g's values at one ring's points (by default
+    each g's own ring, or its calls point by point)."""
     for _, k in fields:
         if k not in (1, 2):
             raise ValueError(f"weight exponent must be 1 or 2, got {k}")
@@ -275,7 +281,9 @@ def weighted_inf_re(h: Callable[[complex], complex], plan: SamplingPlan,
                     r_limit: float = CLOSED_FORM_CEILING) -> MarginReport:
     """Sampled infimum of Re h over |z| <= min(r_limit, SCAN_CEILING), as -sup(-Re h).
 
-    r_limit is the radius up to which h is exact (module docstring)."""
+    r_limit is the radius up to which h is exact (module docstring).  An h
+    with a ring method is evaluated one grid ring per call, any other h point
+    by point."""
     best = _optimize([(h, lambda r: -1.0, operator.attrgetter("real"))], plan, r_limit)[0][0]
     return MarginReport(-best.score, _point(best.r, best.theta), best.r, best.theta,
                         best.samples)

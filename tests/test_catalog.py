@@ -4,6 +4,7 @@ import cmath
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from disknorms import (Alpha, AnalyticFn, HalfPlane, Identity, Koebe, Moebius, Polynomial,
                        RationalField, RobertsonExtremal, SeriesFn, SpiralPower, TaylorSeries,
@@ -11,6 +12,7 @@ from disknorms import (Alpha, AnalyticFn, HalfPlane, Identity, Koebe, Moebius, P
                        SamplingPlan, quadrature_complex, random_disk_points, random_member,
                        second_deriv_origin)
 from disknorms.derivatives import weighted_norm, weighted_norms
+from disknorms.disksup import ring_points
 
 FD_STEP = 1e-5
 
@@ -195,6 +197,45 @@ def test_z_times_derivative_takes_one_base_jet_per_jet(monkeypatch):
     assert g.jet(0.5, 2, 3) == (-4, 0)
 
 
+def _extremal_per_order(fn, z, k):
+    """f^(k)(z), k >= 1, of RobertsonExtremal from its formula for that order alone."""
+    zt, c = fn.zeta, fn.alpha.cos
+    w = zt * z
+    g = 1.0 - w * w
+    fp = cmath.exp(-c * cmath.log(1.0 - w * w))
+    return (fp, zt * 2 * c * w * fp / g,
+            zt * zt * 2 * c * (1 + (2 * c + 1) * w * w) * fp / (g * g),
+            zt ** 3 * 4 * c * (c + 1) * w * (3 + (2 * c + 1) * w * w) * fp / (g * g * g))[k - 1]
+
+
+def _spiral_per_order(fn, z, k):
+    """f^(k)(z) of SpiralPower from its formula for that order alone."""
+    b, zt = fn.exponent, fn.zeta
+    logw = cmath.log(1.0 - zt * z)
+    if k == 0:
+        return (cmath.exp((1 - b) * logw) - 1.0) / (zt * (b - 1))
+    rising = 1
+    for j in range(k - 1):
+        rising *= b + j
+    return rising * zt ** (k - 1) * cmath.exp(-(b + (k - 1)) * logw)
+
+
+@settings(max_examples=40, deadline=None)
+@given(aval=st.floats(-1.5, 1.5), theta=st.floats(-math.pi, math.pi),
+       r=st.floats(0.0, 0.999), t=st.floats(-math.pi, math.pi))
+def test_extremal_family_jets_match_per_order_formulas(aval, theta, r, t):
+    """RobertsonExtremal and SpiralPower compute the factor their orders share
+    once per jet; each order stays bit for bit its own formula's value."""
+    a, zeta = Alpha(aval), cmath.exp(1j * theta)
+    z = complex(r * math.cos(t), r * math.sin(t))
+    for fn, per_order, first in ((RobertsonExtremal(a, zeta), _extremal_per_order, 1),
+                                 (SpiralPower(a, zeta), _spiral_per_order, 0)):
+        for lo in range(first, 5):
+            for hi in range(lo, 5):
+                assert _hex(fn.jet(z, lo, hi)) == _hex(
+                    [per_order(fn, z, k) for k in range(lo, hi + 1)]), (fn.name, lo, hi)
+
+
 def test_extremal_alpha0_matches_artanh():
     """f_0(z) = (1/2) log((1+z)/(1-z)); the quadrature value must agree."""
     fn = RobertsonExtremal(Alpha(0.0))
@@ -256,6 +297,49 @@ def test_outside_guard_radius():
 
 def _hex(values):
     return [(v.real.hex(), v.imag.hex()) for v in values]
+
+
+# the origin with each sign of each zero
+SIGNED_ORIGINS = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+
+
+def _assert_rings_match_calls(field: RationalField, r: float, m: int):
+    """field.ring gives field(z) bit for bit on a grid ring, the r = 0 ring
+    of the scans, and each signed origin."""
+    for points in (ring_points(r, m), [0j], SIGNED_ORIGINS):
+        assert _hex(field.ring(points)) == _hex(list(map(field, points))), (r, m, points)
+
+
+@settings(max_examples=40, deadline=None)
+@given(aval=st.floats(-1.5, 1.5), theta=st.floats(-math.pi, math.pi),
+       r=st.floats(0.0, 1.0 - 1e-12), m=st.integers(16, 160))
+def test_closed_form_field_rings_equal_their_calls(aval, theta, r, m):
+    a, zeta = Alpha(aval), cmath.exp(1j * theta)
+    for fn in (Identity(), HalfPlane(), Koebe(), RobertsonExtremal(a, zeta),
+               SpiralPower(a, zeta)):
+        for field in (fn.pre_schwarzian_field, fn.schwarzian_field):
+            _assert_rings_match_calls(field, r, m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(aval=st.floats(-1.5, 1.5), seed=st.integers(0, 2 ** 31 - 1), degree=st.integers(1, 3),
+       zero_f2=st.booleans(), r=st.floats(0.0, 1.0 - 1e-12), m=st.integers(16, 160))
+def test_member_field_rings_equal_their_calls(aval, seed, degree, zero_f2, r, m):
+    fn = random_member(Alpha(aval), seed, degree, zero_second_deriv=zero_f2)
+    for field in (fn.pre_schwarzian_field, fn.schwarzian_field):
+        _assert_rings_match_calls(field, r, m)
+
+
+def test_field_ring_raises_as_its_calls_do_at_a_pole():
+    """The half-plane field 2/(1 - z) has its pole at z = 1; a ring through it
+    raises the exception that the call there raises."""
+    field = HalfPlane().pre_schwarzian_field
+    points = [0.5 + 0j, 1.0 + 0j, -0.5j]
+    with pytest.raises(ZeroDivisionError) as by_call:
+        list(map(field, points))
+    with pytest.raises(ZeroDivisionError) as by_ring:
+        field.ring(points)
+    assert str(by_ring.value) == str(by_call.value)
 
 
 @pytest.mark.parametrize("fn", catalog_entries(), ids=lambda f: f.name)

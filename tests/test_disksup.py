@@ -1,6 +1,7 @@
 """Grid scan, refinement, boundary march: soundness and convergence checks."""
 
 import cmath
+import dataclasses
 import math
 
 import pytest
@@ -13,6 +14,7 @@ from disknorms.derivatives import (_field, pre_schwarzian_evaluator, pre_schwarz
 from disknorms.disksup import SCAN_CEILING, _point, ring_points, weight_factor
 from disknorms.robertson import characterization_residuals_of
 from disknorms.theorems import verify_T41, verify_T43, verify_T44, verify_T45
+from test_catalog import catalog_entries
 
 PLAN = SamplingPlan()
 
@@ -329,6 +331,78 @@ def test_scans_count_every_sample_but_the_grid_winner_rescore():
             est = weighted_sup(g, k, PLAN, r_limit=r_limit)
             assert bits(est.witness) == bits(_point(est.witness_r, est.witness_theta))
     assert got == PINNED_SAMPLE_COUNTS
+
+
+def scan_path_subjects():
+    """(f, alpha), built fresh, for every catalog entry with rational fields and
+    two more members; alpha is f's own where it has one, else 0.6."""
+    members = [random_member(Alpha(-0.9), 4, 2, zero_second_deriv=True),
+               random_member(Alpha(1.25), 13, 1)]
+    fns = [fn for fn in catalog_entries() if fn.pre_schwarzian_field is not None] + members
+    return [(fn, fn.provenance.alpha if hasattr(fn, "provenance")
+             else getattr(fn, "alpha", Alpha(0.6))) for fn in fns]
+
+
+def _bits(report):
+    """Every field of a scan report, floats and complex numbers by float.hex."""
+    def bits(v):
+        if isinstance(v, complex):
+            return v.real.hex(), v.imag.hex()
+        return v.hex() if isinstance(v, float) else v
+    return tuple(bits(v) for v in dataclasses.astuple(report))
+
+
+@pytest.mark.parametrize("i", range(len(scan_path_subjects())),
+                         ids=[fn.name for fn, _ in scan_path_subjects()])
+def test_ring_and_pointwise_scans_agree(i, monkeypatch):
+    """Scanning rational fields one grid ring per call gives what scanning them
+    point by point gives: the sups, the infimum, the margin and T41, sample
+    counts included."""
+    from disknorms.catalog import RationalField
+
+    def scans(wrap):
+        out = []
+        for plan in (PLAN, SamplingPlan(radial_count=16, angular_count=32)):
+            fn, a = scan_path_subjects()[i]
+            u, s = fn.pre_schwarzian_field, fn.schwarzian_field
+            reports = [weighted_sup(wrap(u), 1, plan), weighted_sup(wrap(s), 2, plan),
+                       weighted_inf_re(wrap(u), plan), robertson_margin(fn, a, plan)]
+            out += [_bits(rep) for rep in reports] + [verify_T41(fn, a, plan)]
+        return out
+    by_ring = scans(lambda field: field)
+    # without RationalField.ring, every scan of these fields goes point by point
+    monkeypatch.delattr(RationalField, "ring")
+    assert scans(lambda field: (lambda z: field(z))) == by_ring
+
+
+def test_rational_grids_take_no_pointwise_call(monkeypatch):
+    """A closed form's sups and margin evaluate every grid ring in one call:
+    RationalField.__call__ first runs when refinement starts, and then once per
+    counted sample and once for the uncounted re-score of the grid winner."""
+    from disknorms import disksup
+    from disknorms.catalog import RationalField
+    calls, at_refine = [], []
+    call, refine = RationalField.__call__, disksup._refine
+
+    def counted_call(self, z):
+        calls.append(z)
+        return call(self, z)
+
+    def counted_refine(*args):
+        at_refine.append(len(calls))
+        return refine(*args)
+    monkeypatch.setattr(RationalField, "__call__", counted_call)
+    monkeypatch.setattr(disksup, "_refine", counted_refine)
+    a = Alpha(0.6)
+    fn = SpiralPower(a, cmath.exp(0.3j))
+    for k, field in ((1, fn.pre_schwarzian_field), (2, fn.schwarzian_field)):
+        calls.clear()
+        weighted_sup(field, k, PLAN)
+    calls.clear()
+    rep = robertson_margin(fn, a, PLAN)
+    assert at_refine == [0, 0, 0]
+    grid = (PLAN.radial_count - 1) * PLAN.angular_count + 1
+    assert len(calls) == rep.samples - grid + 1
 
 
 def test_grid_ties_go_to_the_first_cell_in_scan_order():
