@@ -582,6 +582,13 @@ class MemberProvenance:
     blaschke_zeros: tuple
     gamma: float
 
+    @property
+    def phi_is_blaschke(self) -> bool:
+        """Whether every stored zero has |a| < 1 (a non-finite one has not).
+        Then z phi is a finite Blaschke product: |z phi| < 1 on the open disk,
+        so den - z num, which is den (1 - z phi), has its roots on the circle."""
+        return all(abs(a) < 1.0 for a in self.blaschke_zeros)
+
     def phi(self, z: complex) -> complex:
         acc = 1.0 + 0j
         for a in self.blaschke_zeros:

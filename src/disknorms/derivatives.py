@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from .catalog import (CLOSED_FORM_CEILING, Alpha, AnalyticFn, DerivStack, RobertsonExtremal,
                       SeriesFn)
-from .disksup import (MarginReport, NormEstimate, SamplingPlan, weighted_inf_re, weighted_sup,
-                      weighted_sups)
+from .disksup import (MarginReport, NormEstimate, SamplingPlan, circle_inf_re, weighted_inf_re,
+                      weighted_sup, weighted_sups)
 from .series import TaylorSeries
 
 
@@ -115,10 +115,27 @@ def weighted_norms(f: AnalyticFn, plan: SamplingPlan) -> tuple[NormEstimate, Nor
     return tuple(weighted_sups([(u, 1), (s, 2)], plan, CLOSED_FORM_CEILING, u.ring_with(s)))
 
 
-def pre_schwarzian_inf_re(f: AnalyticFn, post, plan: SamplingPlan) -> MarginReport:
+def analytic_pre_schwarzian(f: AnalyticFn) -> bool:
+    """Whether _field(f, 1) evaluates f''/f' by a function analytic on every
+    closed disk inside its r_limit.  A quotient series is a polynomial.  The
+    closed forms' rational fields have their poles on the unit circle, and so
+    has a generated member's 2b num/(den - z num) when its phi is a Blaschke
+    product; a hand-built provenance with a zero off the open disk can put a
+    pole inside.  The guarded jet's f''/f' has a pole wherever f' vanishes."""
+    if f.pre_schwarzian_field is None:
+        return hasattr(f, "derivative_series")
+    prov = getattr(f, "provenance", None)
+    return prov is None or prov.phi_is_blaschke
+
+
+def pre_schwarzian_inf_re(f: AnalyticFn, post, plan: SamplingPlan,
+                          on_circle: bool = False) -> MarginReport:
     """Sampled infimum of Re post(z, u), u = f''(z)/f'(z), scanned up to the
     radius where u stops being exact; a rational u gives the scan its values
-    one grid ring per call."""
+    one ring per call.  The scan is the 2-D grid (weighted_inf_re), or with
+    on_circle the circle |z| = min(r_limit, SCAN_CEILING) alone
+    (circle_inf_re), which the caller picks only where Re post(z, u(z)) is
+    harmonic on the closed disk inside that circle."""
     point, r_limit = _field(f, 1)
 
     def h(z: complex) -> complex:
@@ -126,4 +143,4 @@ def pre_schwarzian_inf_re(f: AnalyticFn, post, plan: SamplingPlan) -> MarginRepo
     ring = getattr(point, "ring", None)
     if ring is not None:
         h.ring = lambda points: list(map(post, points, ring(points)))
-    return weighted_inf_re(h, plan, r_limit=r_limit)
+    return (circle_inf_re if on_circle else weighted_inf_re)(h, plan, r_limit=r_limit)

@@ -26,6 +26,13 @@ scores it, counts it and keeps the first best one.  It re-scores the grid's
 first best cell in scan order uncounted, so the reported value is one that
 the evaluator returned at _point(witness_r, witness_theta).
 
+circle_inf_re scans the circle |z| = min(r_limit, SCAN_CEILING) alone, for
+a real part that is harmonic inside it: by the minimum principle its
+infimum over the closed disk is attained on that circle, so no interior
+sample can win.  It scores one ring of CIRCLE_OVERSAMPLING times the plan's
+angles, then narrows the best angle by a golden-section search, through
+the same sampler.
+
 The weight (1 - r^2) is always computed as (1 - r)(1 + r) from the grid
 radius, which stays exact to one ulp arbitrarily close to the boundary; the
 evaluated point _point(r, theta) is rounded, so its 1 - |z|^2 is off by a
@@ -49,6 +56,12 @@ from .catalog import CLOSED_FORM_CEILING
 SCAN_CEILING = 1.0 - 1e-6
 MARCH_MAX_STEPS = 45
 MARCH_MIN_GAP = 1e-12
+# circle_inf_re scores this many times the plan's angles on its one ring,
+# then narrows the angle to CIRCLE_ANGLE_TOL * (1 - R): a function whose
+# singularities lie on or outside the unit circle varies along |z| = R on
+# angular scales no finer than 1 - R, its distance to them
+CIRCLE_OVERSAMPLING = 8
+CIRCLE_ANGLE_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -94,7 +107,13 @@ class NormEstimate:
 @dataclass(frozen=True)
 class MarginReport:
     """Sampled infimum of a real-part functional: an upper bound of its
-    infimum over |z| <= min(r_limit, SCAN_CEILING)."""
+    infimum over |z| <= R, R = min(r_limit, SCAN_CEILING).
+
+    weighted_inf_re samples the whole disk.  circle_inf_re samples only the
+    circle |z| = R (witness_r == R): for a functional Re h with h analytic
+    on the closed disk |z| <= R, Re h is harmonic there, and by the minimum
+    principle its infimum over that disk equals its minimum on the circle.
+    ``samples`` counts the evaluated points either way."""
 
     inf_value: float
     witness: complex
@@ -145,6 +164,14 @@ class _Best:
         return s
 
 
+def _ring_max(scores: list[float]) -> float:
+    """The largest score of one ring that is not a NaN, -inf if there is none."""
+    s = max(scores)
+    if s != s:  # max keeps a NaN first score, which no later score beats
+        s = max(itertools.filterfalse(math.isnan, scores), default=-math.inf)
+    return s
+
+
 def _scan_radii(plan: SamplingPlan, cap: float) -> list[float]:
     """Grid radii with sine spacing, clustered toward the cap; the first is
     exactly 0, a ring that _optimize scores as the one point 0j."""
@@ -172,9 +199,7 @@ def _optimize(objectives: Sequence[tuple[Callable, Callable, Callable]], plan: S
         values = ring(ring_points(r, m) if r else [0j])
         for i, (_, weight, part) in enumerate(objectives):
             scores = list(map(functools.partial(operator.mul, weight(r)), map(part, values[i])))
-            s = max(scores)
-            if s != s:  # max keeps a NaN first score, which no later score beats
-                s = max(itertools.filterfalse(math.isnan, scores), default=-math.inf)
+            s = _ring_max(scores)
             if s > tops[i][0]:
                 tops[i] = s, r, scores.index(s)
     return [_refine(_Best(*objective), r, 2.0 * math.pi * j / m, plan, r_limit, cap)
@@ -285,6 +310,46 @@ def weighted_inf_re(h: Callable[[complex], complex], plan: SamplingPlan,
     with a ring method is evaluated one grid ring per call, any other h point
     by point."""
     best = _optimize([(h, lambda r: -1.0, operator.attrgetter("real"))], plan, r_limit)[0][0]
+    return MarginReport(-best.score, _point(best.r, best.theta), best.r, best.theta,
+                        best.samples)
+
+
+def circle_inf_re(h: Callable[[complex], complex], plan: SamplingPlan,
+                  r_limit: float = CLOSED_FORM_CEILING) -> MarginReport:
+    """Sampled infimum of Re h over the circle |z| = R, R = min(r_limit, SCAN_CEILING).
+
+    For an h analytic on the closed disk |z| <= R, Re h is harmonic there,
+    and by the minimum principle this is its infimum over that disk; the
+    caller vouches for the analyticity.  One ring of CIRCLE_OVERSAMPLING *
+    plan.angular_count angles is scored like a grid ring (through h's ring
+    method where it has one), then a golden-section search narrows the angle
+    within the two cells around the ring's first best angle until the
+    bracket is below CIRCLE_ANGLE_TOL * (1 - R).  Every sample counts but
+    the uncounted re-score of the ring winner, and the witness is
+    _point(R, witness_theta), as in weighted_inf_re."""
+    r = min(r_limit, SCAN_CEILING)
+    m = CIRCLE_OVERSAMPLING * plan.angular_count
+    ring = getattr(h, "ring", None) or functools.partial(map, h)
+    scores = [-v.real for v in ring(ring_points(r, m))]
+    s = _ring_max(scores)
+    t = 2.0 * math.pi * (scores.index(s) if s > -math.inf else 0) / m
+    best = _Best(h, lambda _: -1.0, operator.attrgetter("real"))
+    best.sample(r, t)
+    best.samples = m
+    # golden-section search for the largest score -Re h on [a, b]
+    shrink = 0.5 * (math.sqrt(5.0) - 1.0)
+    a, b = t - 2.0 * math.pi / m, t + 2.0 * math.pi / m
+    c, d = b - shrink * (b - a), a + shrink * (b - a)
+    sc, sd = best.sample(r, c), best.sample(r, d)
+    while b - a > CIRCLE_ANGLE_TOL * (1.0 - r):
+        if sc >= sd:
+            b, d, sd = d, c, sc
+            c = b - shrink * (b - a)
+            sc = best.sample(r, c)
+        else:
+            a, c, sc = c, d, sd
+            d = a + shrink * (b - a)
+            sd = best.sample(r, d)
     return MarginReport(-best.score, _point(best.r, best.theta), best.r, best.theta,
                         best.samples)
 

@@ -6,10 +6,12 @@ certifies that exactly for a generated member at its own alpha, from the
 Blaschke zeros it was built from; for every other function only the
 sampled infimum of the functional (robertson_margin) is available, an
 upper bound of the true infimum, which certifies nothing but is the gate
-the verifiers apply.  The module also transfers the functional to the
-spirallike form z g'/g for g = z f', extracts the analytic self-map phi
-behind the subordination, and evaluates the two equivalent pointwise
-characterizations.
+the verifiers apply.  Where f''/f' is analytic on the scanned closed disk
+the functional is harmonic there, and robertson_margin samples its
+boundary circle alone (minimum principle).  The module also transfers the
+functional to the spirallike form z g'/g for g = z f', extracts the
+analytic self-map phi behind the subordination, and evaluates the two
+equivalent pointwise characterizations.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 from .catalog import Alpha, AnalyticFn, second_deriv_origin
-from .derivatives import pre_schwarzian_evaluator, pre_schwarzian_inf_re
+from .derivatives import analytic_pre_schwarzian, pre_schwarzian_evaluator, pre_schwarzian_inf_re
 from .disksup import MarginReport, SamplingPlan, weighted_inf_re
 from .errors import PhiPoleEncountered, ZeroValueEncountered
 
@@ -52,26 +54,37 @@ def membership_certificate(f: AnalyticFn, alpha: Alpha) -> bool:
     zero on or outside the circle (or a non-finite one), is undecided.
     """
     prov = getattr(f, "provenance", None)
-    return (prov is not None and prov.alpha == alpha
-            and all(abs(a) < 1.0 for a in prov.blaschke_zeros))
+    return prov is not None and prov.alpha == alpha and prov.phi_is_blaschke
 
 
 def robertson_margin(f: AnalyticFn, alpha: Alpha, plan: SamplingPlan,
                      workers: int = 1) -> MarginReport:
     """Sampled infimum of the defining real-part functional.
 
-    The scan covers the disk up to the radius where f''/f' is exact: the
-    open disk, up to SCAN_CEILING, for closed forms and generated members
-    (whose f''/f' is rational), the guard radius for other series-backed f.
-    A sampled infimum bounds the true one from above only, so it certifies
-    nothing; the verifiers still gate on it (is_certified_member) every
-    function that membership_certificate leaves undecided, and T41 reports
-    it for every function.  ``workers`` is ignored: the scan runs serially.
+    The scan covers the disk |z| <= R up to the radius where f''/f' is
+    exact, R = min(r_limit, SCAN_CEILING): the open disk, up to
+    SCAN_CEILING, for closed forms and generated members (whose f''/f' is
+    rational), the guard radius for other series-backed f.  Where f''/f' is
+    analytic on that closed disk (analytic_pre_schwarzian: a rational field
+    with no pole inside, or a quotient series), Re e^{i alpha}(1 + z f''/f')
+    is harmonic there, its infimum is attained on |z| = R by the minimum
+    principle, and the scan takes that circle alone (circle_inf_re).  Every
+    other f takes the 2-D grid (weighted_inf_re).  A sampled infimum bounds
+    the true one from above only, so it certifies nothing; the verifiers
+    still gate on it (is_certified_member) every function that
+    membership_certificate leaves undecided, and T41 reports it for every
+    function.  ``workers`` is ignored: the scan runs serially.
     """
     if not f.is_normalized:
         raise ValueError(f"{f.name}: membership test needs a normalized function")
     phase = alpha.phase
-    return pre_schwarzian_inf_re(f, lambda z, u: phase * (1.0 + z * u), plan)
+    # On the jet branch (Polynomial, Moebius, ZTimesDerivative) f' may vanish
+    # inside the disk, as may the pole factor den - z num of a member whose
+    # provenance has a zero off the open disk.  There f''/f' has a pole, near
+    # which the margin takes every real value, so its infimum over the disk
+    # is -inf while the circle sees a finite one: those f keep the 2-D scan.
+    return pre_schwarzian_inf_re(f, lambda z, u: phase * (1.0 + z * u), plan,
+                                 on_circle=analytic_pre_schwarzian(f))
 
 
 def is_certified_member(report: MarginReport, tol: float = TOL_MEMBERSHIP) -> bool:
@@ -80,7 +93,10 @@ def is_certified_member(report: MarginReport, tol: float = TOL_MEMBERSHIP) -> bo
     error of series-backed f.  The gate applies it only to the functions
     that membership_certificate leaves undecided (closed forms, series,
     members at another alpha or with a zero outside the open disk); passing
-    it is evidence from samples, not a proof of membership."""
+    it is evidence from samples, not a proof of membership.  For a circle
+    scan the samples lie on |z| = R alone, where the infimum over the
+    closed disk |z| <= R is attained; the sampled minimum may still miss
+    the true one, and R stops short of the unit circle."""
     return report.inf_value >= -tol
 
 

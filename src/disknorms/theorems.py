@@ -12,7 +12,11 @@ Membership of a generated member at its own alpha is certified exactly, by
 construction (robertson.membership_certificate), and no margin is scanned
 for it; every other function passes the gate only when its sampled margin
 (robertson_margin) stays above -TOL_MEMBERSHIP, evidence from samples and
-not a proof.  T41 reports the sampled margin of every function.
+not a proof.  T41 reports the sampled margin of every function.  Where
+f''/f' is analytic on the scanned closed disk (closed forms, members,
+series) that margin is scanned on its boundary circle alone, where the
+minimum principle puts the infimum, so T41's printed margin costs one
+circle; other functions take the 2-D grid.
 """
 
 from __future__ import annotations

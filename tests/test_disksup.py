@@ -3,20 +3,23 @@
 import cmath
 import dataclasses
 import math
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from disknorms import (Alpha, HalfPlane, Koebe, RobertsonExtremal, SamplingPlan,
+from disknorms import (Alpha, HalfPlane, Identity, Koebe, RobertsonExtremal, SamplingPlan,
                        SpiralPower, radial_profile, random_disk_points, random_member,
                        robertson_margin, weighted_inf_re, weighted_sup)
 from disknorms.derivatives import (_field, pre_schwarzian_evaluator, pre_schwarzian_inf_re,
                                    schwarzian_evaluator, weighted_norm)
 from disknorms.disksup import SCAN_CEILING, _point, ring_points, weight_factor
-from disknorms.robertson import characterization_residuals_of
+from disknorms.robertson import characterization_residuals_of, robertson_functional
 from disknorms.theorems import verify_T41, verify_T43, verify_T44, verify_T45
 from test_catalog import catalog_entries
 
 PLAN = SamplingPlan()
+EPS = sys.float_info.epsilon
 
 
 def test_constant_evaluator_peak_at_center():
@@ -104,6 +107,60 @@ def test_no_scan_samples_beyond_the_scan_ceiling():
                   weighted_inf_re(lambda z: (1 + z) / (1 - z), PLAN, r_limit=r_limit)]
     assert all(s.witness_r <= SCAN_CEILING for s in scans)
     assert sum(s.witness_r == SCAN_CEILING for s in scans) >= 4
+
+
+def _margin_subject(kind, aval, other, zeta_arg, seed, degree, zero_f2):
+    """(f, alpha) for one draw: a closed form with a rational field, or a
+    generated member, checked at its own alpha or at another one."""
+    a, b, zeta = Alpha(aval), Alpha(other), cmath.exp(1j * zeta_arg)
+    return [(Identity(), a), (HalfPlane(), a), (Koebe(), a),
+            (RobertsonExtremal(a, zeta), a), (RobertsonExtremal(b, zeta), a),
+            (SpiralPower(a, zeta), a), (SpiralPower(b, zeta), a),
+            (random_member(a, seed, degree, zero_f2), a),
+            (random_member(b, seed, degree, zero_f2), a)][kind]
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.integers(0, 8), aval=st.floats(-1.5, 1.5), other=st.floats(-1.5, 1.5),
+       zeta_arg=st.floats(-math.pi, math.pi), seed=st.integers(0, 2 ** 31 - 1),
+       degree=st.integers(1, 3), zero_f2=st.booleans())
+def test_circle_margin_at_most_the_grid_margin(kind, aval, other, zeta_arg, seed, degree,
+                                               zero_f2):
+    """The margin of a function with a rational field is scanned on the circle
+    |z| = R = SCAN_CEILING alone, with its witness there, and is never above the
+    2-D scan of the same functional over |z| <= R, which by the minimum
+    principle cannot go below the circle's minimum.  The slack is the rounding
+    of Re e^{ia}(1 + z u) where both scans reach that minimum."""
+    f, a = _margin_subject(kind, aval, other, zeta_arg, seed, degree, zero_f2)
+    circle = robertson_margin(f, a, PLAN)
+    grid = weighted_inf_re(robertson_functional(f, a), PLAN, r_limit=_field(f, 1)[1])
+    assert circle.witness_r == SCAN_CEILING
+    assert abs(abs(circle.witness) - SCAN_CEILING) <= 4 * EPS
+    assert circle.inf_value <= grid.inf_value + 8 * EPS * max(1.0, abs(grid.inf_value))
+
+
+@settings(max_examples=40, deadline=None)
+@given(aval=st.floats(-1.5, 1.5), zeta_arg=st.floats(-math.pi, math.pi))
+def test_spiral_power_margin_is_exact_at_every_rotation(aval, zeta_arg):
+    """SpiralPower(a, zeta) has z phi = zeta z, so its margin on |z| = r is
+    cos a (1 - r^2)/|1 - zeta z|^2, least at zeta z = -r, where it is
+    cos a (1 - r)/(1 + r), whatever zeta.  The circle scan finds it to 1e-9
+    relative at r = 0.5 and 0.9, and robertson_margin at R = SCAN_CEILING,
+    where the margin of about cos a * 5e-7 is the sum of terms of size cos a,
+    so its rounding (a few eps cos a) is added to the 1e-9 relative."""
+    from disknorms.disksup import circle_inf_re
+    a = Alpha(aval)
+    f = SpiralPower(a, cmath.exp(1j * zeta_arg))
+    h = robertson_functional(f, a)
+    for r in (0.5, 0.9):
+        exact = a.cos * (1.0 - r) / (1.0 + r)
+        assert abs(circle_inf_re(h, PLAN, r_limit=r).inf_value - exact) <= 1e-9 * exact
+    R = SCAN_CEILING
+    exact = a.cos * (1.0 - R) / (1.0 + R)
+    rep = robertson_margin(f, a, PLAN)
+    assert abs(rep.inf_value - exact) <= 1e-9 * exact + 8 * EPS * a.cos
+    # the witness sits where zeta z = -R
+    assert abs(cmath.phase(-rep.witness * cmath.exp(1j * zeta_arg))) < 1e-4
 
 
 def test_member_margin_nonnegative():
@@ -255,7 +312,8 @@ PINNED_NORMS = {
 
 def test_closed_form_estimates_pinned():
     """Closed forms scan their exact rational fields; the estimates, witnesses
-    and the margin stay bit for bit those of that path."""
+    and the margin stay bit for bit those of that path.  The margin scans the
+    circle |z| = SCAN_CEILING: 1024 ring samples, then 46 of the angle search."""
     a, zeta = Alpha(0.6), cmath.exp(0.3j)
     got = {}
     for fn in (RobertsonExtremal(a, zeta), SpiralPower(a, zeta), Koebe(), HalfPlane()):
@@ -265,23 +323,24 @@ def test_closed_form_estimates_pinned():
     assert got == PINNED_NORMS
     rep = robertson_margin(SpiralPower(a), a, PLAN)
     assert (rep.inf_value.hex(), rep.witness_r.hex(), rep.witness_theta.hex(), rep.samples) == (
-        "0x1.bb1951e400000p-22", "0x1.ffffde7210be9p-1", "0x1.921fb54442d18p+1", 8185)
+        "0x1.bb1951e100000p-22", "0x1.ffffde7210be9p-1", "0x1.921fd86737da2p+1", 1070)
 
 
 # float.hex of the margin's (inf_value, witness_r), of the T43/T44/T45
 # estimates, and T41's details, at the default plan, for two generated
-# members, whose scans evaluate their exact rational fields on the open disk
+# members, whose scans evaluate their exact rational fields on the open disk;
+# the margin is scanned on the circle |z| = SCAN_CEILING
 PINNED_MEMBER_SCANS = {
     (0.5, 7, 3, False): (
-        ("0x1.0978621900000p-20", "0x1.ffffde7210be9p-1"),
+        ("0x1.09785cf940000p-20", "0x1.ffffde7210be9p-1"),
         ("0x1.a7b2aa64a7c95p+0", "0x1.1a6487dabf81cp+1", "0x1.1a6487dabf81cp+1"),
         "residual minima: ii = 5.35371e-07, iii = 1.07048e-12; tolerance 1e-06; sampled "
-        "membership margin 9.88954e-07 at z = (0.8730941053233117+0.4875496725982758j)"),
+        "membership margin 9.88953e-07 at z = (0.8728784501720785+0.48793566299891444j)"),
     (-0.9, 4, 2, True): (
-        ("0x1.cf068cf200000p-21", "0x1.ffffde7210be9p-1"),
+        ("0x1.cf06029c80000p-21", "0x1.ffffde7210be9p-1"),
         ("0x1.a8bd2a8609162p-1", "0x1.785c9f31a2a28p+0", "0x1.785c9f31a2a28p+0"),
         "residual minima: ii = 5.51648e-07, iii = 1.10334e-12; tolerance 1e-06; sampled "
-        "membership margin 8.62452e-07 at z = (0.7200017879588737+0.693970766918193j)"),
+        "membership margin 8.62448e-07 at z = (0.7189536574184797+0.6950565721476141j)"),
 }
 
 
@@ -376,33 +435,44 @@ def test_ring_and_pointwise_scans_agree(i, monkeypatch):
 
 
 def test_rational_grids_take_no_pointwise_call(monkeypatch):
-    """A closed form's sups and margin evaluate every grid ring in one call:
+    """A closed form's sups evaluate every grid ring in one call:
     RationalField.__call__ first runs when refinement starts, and then once per
-    counted sample and once for the uncounted re-score of the grid winner."""
+    counted sample and once for the uncounted re-score of the grid winner.  Its
+    margin scans no grid but one circle ring, in one call, and then calls
+    __call__ for the angle search and the ring winner's re-score alone."""
     from disknorms import disksup
     from disknorms.catalog import RationalField
-    calls, at_refine = [], []
-    call, refine = RationalField.__call__, disksup._refine
+    calls, rings, at_refine = [], [], []
+    call, ring, refine = RationalField.__call__, RationalField.ring, disksup._refine
 
     def counted_call(self, z):
         calls.append(z)
         return call(self, z)
 
+    def counted_ring(self, points):
+        rings.append(len(points))
+        return ring(self, points)
+
     def counted_refine(*args):
         at_refine.append(len(calls))
         return refine(*args)
     monkeypatch.setattr(RationalField, "__call__", counted_call)
+    monkeypatch.setattr(RationalField, "ring", counted_ring)
     monkeypatch.setattr(disksup, "_refine", counted_refine)
     a = Alpha(0.6)
     fn = SpiralPower(a, cmath.exp(0.3j))
     for k, field in ((1, fn.pre_schwarzian_field), (2, fn.schwarzian_field)):
         calls.clear()
         weighted_sup(field, k, PLAN)
+    assert at_refine == [0, 0]
     calls.clear()
+    rings.clear()
     rep = robertson_margin(fn, a, PLAN)
-    assert at_refine == [0, 0, 0]
-    grid = (PLAN.radial_count - 1) * PLAN.angular_count + 1
-    assert len(calls) == rep.samples - grid + 1
+    assert at_refine == [0, 0]
+    m = disksup.CIRCLE_OVERSAMPLING * PLAN.angular_count
+    assert rings == [m]
+    assert len(calls) == rep.samples - m + 1
+    assert rep.witness_r == SCAN_CEILING
 
 
 def test_grid_ties_go_to_the_first_cell_in_scan_order():

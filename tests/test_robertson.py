@@ -12,8 +12,9 @@ from disknorms import (Alpha, HalfPlane, Identity, Koebe, RobertsonExtremal,
                        is_certified_member, membership_certificate, phi_transform,
                        random_disk_points,
                        random_member, robertson_margin, spirallike_margin,
-                       univalence_criteria, verify_T41, weighted_sup)
-from disknorms.derivatives import pre_schwarzian_evaluator
+                       univalence_criteria, verify_T41, weighted_inf_re, weighted_sup)
+from disknorms.derivatives import _field, pre_schwarzian_evaluator
+from disknorms.robertson import robertson_functional
 from disknorms.errors import PhiPoleEncountered
 
 PLAN = SamplingPlan()
@@ -86,6 +87,43 @@ def test_member_margin_is_its_blaschke_identity(aval, seed, degree, zero_f2):
         assert abs((a.phase * (1.0 + z * u(z))).real - exact) <= 1e-9 * exact, z
 
 
+def test_analytic_fields_take_the_circle_scan_alone(monkeypatch):
+    """With the 2-D scan disabled, the margins of the closed forms, of members
+    at their own and at another alpha, and of a member's series form still
+    come out, from the circle |z| = min(r_limit, SCAN_CEILING) alone."""
+    from disknorms import derivatives, disksup, robertson
+    from disknorms.disksup import SCAN_CEILING
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the 2-D grid was scanned")
+    for module in (disksup, derivatives, robertson):
+        monkeypatch.setattr(module, "weighted_inf_re", refuse)
+    monkeypatch.setattr(disksup, "_optimize", refuse)
+    a = Alpha(0.6)
+    member = random_member(a, seed=7, degree=3)
+    cases = [(fn, a) for fn in (Identity(), HalfPlane(), Koebe(), RobertsonExtremal(a),
+                                SpiralPower(a, cmath.exp(0.3j)), member)]
+    cases += [(member, Alpha(-1.2)), (member.taylor(), a)]
+    for fn, alpha in cases:
+        rep = robertson_margin(fn, alpha, PLAN)
+        assert rep.witness_r == min(_field(fn, 1)[1], SCAN_CEILING), fn.name
+
+
+def test_jet_branch_margin_keeps_the_grid():
+    """f = z + z^2 takes the guarded jet, and f' = 1 + 2z vanishes at -1/2,
+    a pole of f''/f' near which the margin is unbounded below.  Its margin is
+    the 2-D scan's, bit for bit, and negative; the circle would see only the
+    positive values on |z| = R and call f a member."""
+    from disknorms import Polynomial
+    from disknorms.disksup import circle_inf_re
+    f, a = Polynomial((0, 1, 1)), Alpha(0.0)
+    h = robertson_functional(f, a)
+    rep = robertson_margin(f, a, PLAN)
+    assert rep == weighted_inf_re(h, PLAN, r_limit=f.radius_limit)
+    assert rep.inf_value < -100.0 and abs(rep.witness + 0.5) < 0.01
+    assert circle_inf_re(h, PLAN, r_limit=f.radius_limit).inf_value > 1.0
+
+
 # -- spirallike_margin -------------------------------------------------------
 
 def test_spirallike_identity():
@@ -114,7 +152,7 @@ def test_spirallike_zero_value_guard():
 
 def test_spirallike_transfer_equals_robertson_margin():
     """z g'/g for g = z f' coincides pointwise with 1 + z f''/f', so the
-    two margins agree; membership itself transfers only where f is a member
+    two functionals' grid scans agree; membership itself transfers only where f is a member
     (alpha = 0 for the extremal family)."""
     a0 = Alpha(0.0)
     f0 = RobertsonExtremal(a0)
@@ -123,7 +161,9 @@ def test_spirallike_transfer_equals_robertson_margin():
     ap = Alpha(0.7)
     fp = RobertsonExtremal(ap)
     sp = spirallike_margin(ZTimesDerivative(fp), ap, PLAN)
-    rb = robertson_margin(fp, ap, PLAN)
+    # the same 2-D scan of the class functional, which robertson_margin now
+    # takes on the circle alone
+    rb = weighted_inf_re(robertson_functional(fp, ap), PLAN, r_limit=fp.radius_limit)
     assert abs(sp.inf_value - rb.inf_value) <= 1e-6 * max(1.0, abs(rb.inf_value))
 
 
