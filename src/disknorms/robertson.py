@@ -181,6 +181,15 @@ def characterization_residuals(f: AnalyticFn, alpha: Alpha,
 
     Membership predicts both >= 0.  The e^{i alpha} factor in res_iii is
     required for the alpha = 0 reduction to the convex-class disk condition.
+
+    With f''/f' = 2b phi/(1 - z phi), b = e^{-i a} cos a, for a member with
+    self-map phi (a generated member's provenance.phi), the residuals are
+
+        res_ii = cos a (1 - |phi|^2)/|1 - z phi|^2
+        res_iii = 2 cos a (1 - |phi - conj(z)|/|1 - z phi|),
+
+    both >= 0 wherever |phi| <= 1, since
+    |1 - z phi|^2 - |phi - conj(z)|^2 = (1 - |z|^2)(1 - |phi|^2).
     """
     z = complex(z)
     if abs(z) >= 1.0:

@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence
 from .catalog import Alpha, AnalyticFn
 from .derivatives import pre_schwarzian_inf_re, weighted_norms
 from .disksup import MarginReport, SamplingPlan
-from .quadrature import quadrature
+from .quadrature import quadrature_upto
 from .robertson import (characterization_residuals_of, is_certified_member,
                         membership_certificate, robertson_margin)
 
@@ -75,15 +75,22 @@ class GrowthBounds:
 
 
 def growth_bounds(r: float, alpha: Alpha) -> GrowthBounds:
-    """Two-sided bounds for |f(z)| at |z| = r: integrals of (1 -+ xi^2)^(-cos a)."""
-    if not 0.0 <= r <= GROWTH_R_CAP:
-        raise ValueError(f"need 0 <= r <= {GROWTH_R_CAP}, got {r}")
-    if r == 0.0:
-        return GrowthBounds(0.0, 0.0, 0.0)
+    """Two-sided bounds for |f(z)| at |z| = r: integrals of (1 -+ xi^2)^(-cos a)
+    over [0, r]; the one-radius case of growth_table."""
+    return growth_table([r], alpha)[0]
+
+
+def growth_table(radii: Sequence[float], alpha: Alpha) -> list[GrowthBounds]:
+    """growth_bounds at every radius in radii, each integral taken from one
+    adaptive pass over [0, max(radii)] (quadrature_upto).  Every radius is
+    checked against [0, GROWTH_R_CAP] before any integral is taken."""
+    for r in radii:
+        if not 0.0 <= r <= GROWTH_R_CAP:
+            raise ValueError(f"need 0 <= r <= {GROWTH_R_CAP}, got {r}")
     c = alpha.cos
-    lower = quadrature(lambda t: (1.0 + t * t) ** -c, 0.0, r, 1e-10)
-    upper = quadrature(lambda t: (1.0 - t * t) ** -c, 0.0, r, 1e-10)
-    return GrowthBounds(r, lower, upper)
+    lower = quadrature_upto(lambda t: (1.0 + t * t) ** -c, 0.0, radii, 1e-10)
+    upper = quadrature_upto(lambda t: (1.0 - t * t) ** -c, 0.0, radii, 1e-10)
+    return [GrowthBounds(r, lo, up) for r, lo, up in zip(radii, lower, upper)]
 
 
 def _margin_detail(report) -> str:
@@ -155,10 +162,12 @@ def _pointwise_bound_report(theorem_id: str, quantity: str, f: AnalyticFn, alpha
                             points: Sequence[complex], tol: float,
                             plan: Optional[SamplingPlan],
                             value: Callable[[complex], float],
-                            bounds: Callable[[complex], tuple[float, float]]) -> TheoremReport:
+                            bounds: Callable[[Sequence[complex]],
+                                             Sequence[tuple[float, float]]]) -> TheoremReport:
     """Shared body of the pointwise verifiers: the f''(0) = 0 gate, the
     membership gate, then the worst two-sided violation of
-    lower <= value(z) <= upper, (lower, upper) = bounds(z), over points."""
+    lower <= value(z) <= upper over points, where bounds(points) gives every
+    (lower, upper) before any value is evaluated."""
     reason = _f2_zero_gate(f, _SCHWARZ_STEP)
     if reason is not None:
         return TheoremReport(theorem_id, PRECONDITION_UNMET, 0.0, None, reason)
@@ -167,9 +176,8 @@ def _pointwise_bound_report(theorem_id: str, quantity: str, f: AnalyticFn, alpha
         return refusal
     worst = 0.0
     witness = None
-    for z in points:
+    for z, (lower, upper) in zip(points, bounds(points)):
         val = value(z)
-        lower, upper = bounds(z)
         viol = max(lower - val, val - upper)
         if viol > worst:
             worst, witness = viol, z
@@ -187,9 +195,8 @@ def verify_T42_distortion(f: AnalyticFn, alpha: Alpha, points: Sequence[complex]
     with f''(0) = 0."""
     c = alpha.cos
 
-    def bounds(z: complex) -> tuple[float, float]:
-        r2 = abs(z) ** 2
-        return (1.0 + r2) ** -c, (1.0 - r2) ** -c
+    def bounds(zs: Sequence[complex]) -> list[tuple[float, float]]:
+        return [((1.0 + r2) ** -c, (1.0 - r2) ** -c) for r2 in (abs(z) ** 2 for z in zs)]
 
     return _pointwise_bound_report("T42d", "distortion", f, alpha, points, tol, plan,
                                    lambda z: abs(f.jet(z, 1, 1)[0]), bounds)
@@ -199,11 +206,12 @@ def verify_T42_growth(f: AnalyticFn, alpha: Alpha, points: Sequence[complex],
                       tol: float = GROWTH_TOL,
                       plan: Optional[SamplingPlan] = None) -> TheoremReport:
     """Growth integrals (growth_bounds) bound |f(z)| for certified members
-    with f''(0) = 0."""
+    with f''(0) = 0.  Once both gates pass, the bounds at every |z| come from
+    one growth_table, one adaptive pass per integral, which checks every
+    radius before any integral or value is taken."""
 
-    def bounds(z: complex) -> tuple[float, float]:
-        gb = growth_bounds(abs(z), alpha)
-        return gb.lower, gb.upper
+    def bounds(zs: Sequence[complex]) -> list[tuple[float, float]]:
+        return [(gb.lower, gb.upper) for gb in growth_table([abs(z) for z in zs], alpha)]
 
     return _pointwise_bound_report("T42g", "growth", f, alpha, points, tol, plan,
                                    lambda z: abs(f.value(z)), bounds)

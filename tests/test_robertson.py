@@ -304,6 +304,37 @@ def test_residuals_nonnegative_for_members():
             assert r3 >= -1e-6
 
 
+@settings(max_examples=25, deadline=None)
+@given(aval=st.floats(-1.5, 1.5), seed=st.integers(0, 2 ** 31 - 1),
+       degree=st.integers(1, 3), zero_f2=st.booleans())
+def test_member_residuals_are_their_self_map_identities(aval, seed, degree, zero_f2):
+    """For a generated member with self-map phi (provenance.phi),
+    res_ii = c (1 - |phi|^2)/|1 - z phi|^2 and
+    res_iii = 2c (1 - |phi - conj z|/|1 - z phi|), c = cos a, so both are
+    >= 0 wherever |phi| <= 1.  The oracle writes res_iii without the
+    cancellation, as 2c (1 - |z|^2)(1 - |phi|^2)/(B (A + B)) with
+    A = |phi - conj z|, B = |1 - z phi| (B^2 - A^2 = (1 - |z|^2)(1 - |phi|^2)).
+    Both identities hold to 1e-9 of max(value, cos a): res_iii is 2c less a
+    modulus of up to 2c, so its rounding scales with c, not with the value
+    it leaves near |z| = 0.999 (down to about 1e-7)."""
+    a = Alpha(aval)
+    c = a.cos
+    m = random_member(a, seed, degree, zero_f2)
+    phi = m.provenance.phi
+    ring = [0.999 * cmath.exp(2j * math.pi * k / 64) for k in range(64)]
+    for z in random_disk_points(64, seed=seed, radius=0.999) + ring:
+        p = phi(z)
+        w_z = (1.0 - abs(z)) * (1.0 + abs(z))
+        w_p = (1.0 - abs(p)) * (1.0 + abs(p))
+        big_a, big_b = abs(p - z.conjugate()), abs(1.0 - z * p)
+        exact_ii = c * w_p / big_b ** 2
+        exact_iii = 2.0 * c * w_z * w_p / (big_b * (big_a + big_b))
+        r2, r3 = characterization_residuals(m, a, z)
+        assert r2 >= 0.0 and r3 >= 0.0, z
+        assert abs(r2 - exact_ii) <= 1e-9 * max(exact_ii, c), z
+        assert abs(r3 - exact_iii) <= 1e-9 * max(exact_iii, c), z
+
+
 def test_residuals_of_member_match_exact_at_guard_radius():
     """Series-free oracle on |z| = 0.95: a member has f''/f' = 2b phi/(1 - z phi)
     with b = e^{-ia} cos a and phi its generating self-map.  Residuals formed

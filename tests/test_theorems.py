@@ -19,12 +19,14 @@ from disknorms import (Alpha, GeneratedMember, HalfPlane, Koebe, MemberProvenanc
                        RobertsonExtremal, SamplingPlan, SeriesFn, SpiralPower,
                        TaylorSeries, TheoremReport, growth_bounds, is_certified_member,
                        lemma_schur_check, membership_certificate, phi_transform,
-                       quadrature, random_disk_points, random_member,
+                       quadrature, quadrature_complex, random_disk_points, random_member,
                        robertson_margin, t45_bound, verify_T41,
                        verify_T42_distortion, verify_T42_growth, verify_T43,
                        verify_T44, verify_T45)
 from disknorms.derivatives import weighted_norm
 from disknorms.errors import DiskNormsError, MaxSubdivisions
+from disknorms.quadrature import _GL15_NODES, _GL15_WEIGHTS, MAX_PANELS, quadrature_upto
+from disknorms.theorems import GROWTH_R_CAP, growth_table
 from test_catalog import catalog_entries
 
 PLAN = SamplingPlan()
@@ -63,6 +65,95 @@ def test_quadrature_max_subdivisions():
         quadrature(lambda t: (1.0 - t) ** -0.999, 0.0, 0.9999999, 1e-15)
 
 
+def _frozen_panel(fn, a, b):
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    acc = 0j
+    for x, w in zip(_GL15_NODES, _GL15_WEIGHTS):
+        acc += w * fn(mid + half * x)
+    return half * acc
+
+
+def _frozen_quadrature_complex(integrand, a, b, tol=1e-10):
+    """The bisection engine as it stood before it handed back its accepted
+    panels: one loop that sums each accepted panel as it accepts it."""
+    if not a <= b:
+        raise ValueError(f"need a <= b, got [{a}, {b}]")
+    if a == b:
+        return 0j
+    total = 0j
+    panels_done = 0
+    stack = [(a, b, _frozen_panel(integrand, a, b))]
+    while stack:
+        lo, hi, whole = stack.pop()
+        mid = 0.5 * (lo + hi)
+        left = _frozen_panel(integrand, lo, mid)
+        right = _frozen_panel(integrand, mid, hi)
+        panels_done += 2
+        if panels_done > MAX_PANELS:
+            raise MaxSubdivisions(
+                f"tolerance {tol} unreachable within {MAX_PANELS} panels")
+        err = abs(left + right - whole)
+        if err <= tol * max((hi - lo) / (b - a), 1e-3):
+            total += left + right
+        else:
+            stack.append((lo, mid, left))
+            stack.append((mid, hi, right))
+    return total
+
+
+def _run(engine, integrand, *args):
+    """(result as float.hex of its parts, or the error raised; integrand calls)."""
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return integrand(t)
+    try:
+        z = complex(engine(counted, *args))
+        out = (z.real.hex(), z.imag.hex())
+    except MaxSubdivisions as exc:
+        out = str(exc)
+    return out, len(calls)
+
+
+def test_engine_bit_identical_to_the_summing_loop():
+    """quadrature and quadrature_complex return the frozen engine's values to
+    the bit, with the same integrand calls, on real and complex integrands,
+    RobertsonExtremal's ray integrand, and the MaxSubdivisions case."""
+    def frozen_real(g, a, b, tol=1e-10):
+        return _frozen_quadrature_complex(lambda t: complex(g(t), 0.0), a, b, tol).real
+
+    real_cases = [
+        (lambda t: (1.0 - t * t) ** -0.7, 0.0, 0.95, 1e-10),
+        (lambda t: (1.0 + t * t) ** -0.3, 0.0, 0.999, 1e-10),
+        (lambda t: (1.0 - t * t) ** -1.0, 0.2, 0.9, 1e-12),
+        (lambda t: 13 * t ** 12 - 4 * t ** 3, 0.0, 0.9, 1e-12),
+        (lambda t: 1e9, 0.3, 0.3, 1e-10),
+        (lambda t: (1.0 - t) ** -0.999, 0.0, 0.9999999, 1e-15),  # MaxSubdivisions
+    ]
+    for g, a, b, tol in real_cases:
+        assert _run(quadrature, g, a, b, tol) == _run(frozen_real, g, a, b, tol)
+    assert isinstance(_run(quadrature, *real_cases[-1])[0], str)
+
+    complex_cases = [
+        (lambda t: cmath.exp(5j * t) / (1.1 - t), 0.0, 0.9, 1e-10),
+        (lambda t: cmath.exp(-0.4 * cmath.log(1.0 - (0.3 + 0.9j) ** 2 * t * t)),
+         0.0, 1.0, 1e-12),
+    ]
+    for aval in (0.0, 0.9, -1.3):
+        fn = RobertsonExtremal(Alpha(aval), cmath.exp(0.7j))
+        for z in (0.5 + 0.3j, -0.85j, 0.93 + 0j):
+            w = fn.zeta * z
+            complex_cases.append((lambda t, fn=fn, w=w: fn._fprime_base(t * w), 0.0, 1.0, 1e-12))
+            want = fn.zeta.conjugate() * w * _frozen_quadrature_complex(
+                lambda t: fn._fprime_base(t * w), 0.0, 1.0, 1e-12)
+            assert fn.value(z) == want
+    for g, a, b, tol in complex_cases:
+        assert _run(quadrature_complex, g, a, b, tol) == \
+            _run(_frozen_quadrature_complex, g, a, b, tol)
+
+
 # -- growth bounds -------------------------------------------------------------
 
 def test_growth_bounds_at_zero():
@@ -87,6 +178,63 @@ def test_growth_bounds_monotone_in_cos_alpha():
 def test_growth_bounds_domain():
     with pytest.raises(ValueError):
         growth_bounds(0.9995, Alpha(0.0))
+
+
+@st.composite
+def _radius_lists(draw):
+    """Unsorted radius lists in [0, GROWTH_R_CAP] that hold 0, GROWTH_R_CAP
+    and a duplicate."""
+    drawn = draw(st.lists(st.floats(0.0, GROWTH_R_CAP), min_size=1, max_size=10))
+    return draw(st.permutations(drawn + [0.0, GROWTH_R_CAP, drawn[0]]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(aval=st.floats(-1.5, 1.5), radii=_radius_lists())
+def test_growth_table_matches_per_radius_quadrature(aval, radii):
+    """Every entry of the one-pass table is the single-interval quadrature on
+    [0, r] to 1e-12, lower <= upper, and both are nondecreasing in r."""
+    a = Alpha(aval)
+    c = a.cos
+    table = growth_table(radii, a)
+    assert [gb.r for gb in table] == radii
+    for gb in table:
+        assert abs(gb.lower - quadrature(lambda t: (1.0 + t * t) ** -c, 0.0, gb.r)) <= 1e-12
+        assert abs(gb.upper - quadrature(lambda t: (1.0 - t * t) ** -c, 0.0, gb.r)) <= 1e-12
+        assert gb.lower <= gb.upper
+    # nondecreasing up to rounding: adjacent floats r < r' can read 1 ulp apart
+    ordered = sorted(table, key=lambda gb: gb.r)
+    for lo, hi in zip(ordered, ordered[1:]):
+        assert hi.lower >= lo.lower - 2 * math.ulp(lo.lower)
+        assert hi.upper >= lo.upper - 2 * math.ulp(lo.upper)
+    assert table[radii.index(0.0)] == growth_bounds(0.0, a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(radii=_radius_lists())
+def test_growth_table_closed_forms(radii):
+    """No quadrature in the oracle: at cos a = 1 the integrals are atan r and
+    atanh r, at cos a = 1/2 asinh r and asin r."""
+    for a, lower, upper in ((Alpha(0.0), math.atan, math.atanh),
+                            (Alpha(math.pi / 3), math.asinh, math.asin)):
+        for gb in growth_table(radii, a):
+            assert abs(gb.lower - lower(gb.r)) <= 1e-12
+            assert abs(gb.upper - upper(gb.r)) <= 1e-12
+
+
+def test_growth_table_checks_every_radius_first(monkeypatch):
+    """A radius out of range raises before any integral, and in T42g before
+    any value of f."""
+    calls = []
+    with pytest.raises(ValueError):
+        quadrature_upto(lambda t: calls.append(t) or 1.0, 0.0, [0.5, 1.0])
+    assert calls == []
+    assert growth_table([], Alpha(0.2)) == []
+    a = Alpha(0.2)
+    m = random_member(a, seed=9, degree=2, zero_second_deriv=True)
+    monkeypatch.setattr(m, "value", lambda z: calls.append(z))
+    with pytest.raises(ValueError):
+        verify_T42_growth(m, a, [0.3, 0.5j, 0.9995])
+    assert calls == []
 
 
 # -- T41 ------------------------------------------------------------------------
