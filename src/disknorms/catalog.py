@@ -294,8 +294,8 @@ class RobertsonExtremal(AnalyticFn):
     no elementary primitive except at alpha = 0.
 
     Its norms are 2 cos alpha and 2 cos alpha (2 - cos alpha), but for
-    alpha != 0 it is not a member of S_alpha (robertson_margin gives about
-    -564 at alpha = pi/3), so attaining these values does not make them
+    alpha != 0 it is not a member of S_alpha (its margin is unbounded below
+    near z = +-conj(zeta)), so attaining these values does not make them
     sharp bounds for the class.  The member with the same pre-Schwarzian
     norm is f' = (1 - z^2)^(-e^{-i alpha} cos alpha).
     """

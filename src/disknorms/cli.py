@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple, Optional
 from . import __version__
 from .catalog import (Alpha, HalfPlane, Identity, Koebe, RobertsonExtremal,
                       SpiralPower, random_member)
-from .derivatives import weighted_norm, weighted_norms
+from .derivatives import scan
 from .disksup import SamplingPlan, random_disk_points
 from .errors import DiskNormsError
 from .robertson import phi_transform, robertson_margin
@@ -291,10 +291,9 @@ def _sweep_csv(cfg: dict, results: dict) -> str:
 def cmd_norm(cfg: dict) -> tuple[dict, int]:
     fn = build_function(cfg)
     plan = _plan(cfg)
-    which = cfg["which"]
-    ests = (zip(("pre", "schwarzian"), weighted_norms(fn, plan)) if which == "both"
-            else [(which, weighted_norm(fn, 1 if which == "pre" else 2, plan))])
-    return {key: _json_of(est) for key, est in ests}, EXIT_OK
+    keys = ("pre", "schwarzian") if cfg["which"] == "both" else (cfg["which"],)
+    ests = scan(fn, plan, *(1 if key == "pre" else 2 for key in keys))
+    return {key: _json_of(est) for key, est in zip(keys, ests)}, EXIT_OK
 
 
 _EXIT_OF_STATUS = {PASS: EXIT_OK, PRECONDITION_UNMET: EXIT_PRECONDITION}
@@ -320,7 +319,7 @@ def cmd_sweep(cfg: dict) -> tuple[dict, int]:
     for alpha in alphas:
         fn = RobertsonExtremal(alpha)
         c = alpha.cos
-        pre, sch = weighted_norms(fn, plan)
+        pre, sch = scan(fn, plan, 1, 2)
         rows.append(dict(zip(_SWEEP_COLUMNS, (alpha.value, 2.0 * c, pre.value,
                                               2.0 * c * (2.0 - c), sch.value))))
     return {"rows": rows}, EXIT_OK

@@ -9,13 +9,14 @@ rational fields of closed forms and generated members there too.
 _field is the one place that picks, by what f provides, how f''/f' and the
 Schwarzian are evaluated and up to which radius that is exact: its rational
 fields on the open disk, else its quotient series to the guard radius, else
-its guarded jet.  Every scan goes through weighted_norm (one weighted
-norm), weighted_norms (both, from one grid pass where f has rational
-fields) or pre_schwarzian_inf_re (the infimum of a real-part functional of
-f''/f').
+its guarded jet.  Every scan of a function goes through one entry with one
+memo on f, scan(f, plan, *objectives): the two weighted norms, the
+membership margin and T41's two residuals, each a functional of f''/f'.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 from .catalog import (CLOSED_FORM_CEILING, Alpha, AnalyticFn, DerivStack, RobertsonExtremal,
                       SeriesFn)
@@ -98,44 +99,42 @@ def schwarzian_evaluator(f: AnalyticFn):
     return _field(f, 2)[0]
 
 
-def weighted_norm(f: AnalyticFn, k: int, plan: SamplingPlan) -> NormEstimate:
-    """Estimate of the pre-Schwarzian (k = 1) or Schwarzian (k = 2) norm of f,
-    sup of (1 - |z|^2)^k times the field's modulus, from below, scanned up to
-    the radius where the field stops being exact."""
-    point, r_limit = _field(f, k)
-    return weighted_sup(point, k, plan, r_limit=r_limit)
-
-
-def weighted_norms(f: AnalyticFn, plan: SamplingPlan) -> tuple[NormEstimate, NormEstimate]:
-    """(weighted_norm(f, 1, plan), weighted_norm(f, 2, plan)), bit for bit: rational
-    fields u = P/Q and S = N/Q^2 share one grid pass, other f take two scans."""
-    u, s = f.pre_schwarzian_field, f.schwarzian_field
-    if u is None or s.den != u.den:
-        return weighted_norm(f, 1, plan), weighted_norm(f, 2, plan)
-    return tuple(weighted_sups([(u, 1), (s, 2)], plan, CLOSED_FORM_CEILING, u.ring_with(s)))
-
-
 def analytic_pre_schwarzian(f: AnalyticFn) -> bool:
     """Whether _field(f, 1) evaluates f''/f' by a function analytic on every
-    closed disk inside its r_limit.  A quotient series is a polynomial.  The
-    closed forms' rational fields have their poles on the unit circle, and so
-    has a generated member's 2b num/(den - z num) when its phi is a Blaschke
-    product; a hand-built provenance with a zero off the open disk can put a
-    pole inside.  The guarded jet's f''/f' has a pole wherever f' vanishes."""
+    closed disk inside its r_limit: a quotient series, a closed form's
+    rational field, or a member's 2b num/(den - z num) when its phi is a
+    Blaschke product (a hand-built zero off the open disk can put a pole
+    inside).  The guarded jet's f''/f' has a pole wherever f' vanishes."""
     if f.pre_schwarzian_field is None:
         return hasattr(f, "derivative_series")
     prov = getattr(f, "provenance", None)
     return prov is None or prov.phi_is_blaschke
 
 
-def pre_schwarzian_inf_re(f: AnalyticFn, post, plan: SamplingPlan,
-                          on_circle: bool = False) -> MarginReport:
-    """Sampled infimum of Re post(z, u), u = f''(z)/f'(z), scanned up to the
-    radius where u stops being exact; a rational u gives the scan its values
-    one ring per call.  The scan is the 2-D grid (weighted_inf_re), or with
-    on_circle the circle |z| = min(r_limit, SCAN_CEILING) alone
-    (circle_inf_re), which the caller picks only where Re post(z, u(z)) is
-    harmonic on the closed disk inside that circle."""
+def characterization_residuals_of(alpha: Alpha
+                                  ) -> tuple[Callable[[complex, complex], float], ...]:
+    """(res_ii, res_iii) of robertson.characterization_residuals, each a
+    function of (z, u) with u = f''/f' at z, for a scan of each alone."""
+    c = alpha.cos
+    phase = alpha.phase
+
+    def res_ii(z: complex, u: complex) -> float:
+        w = (1.0 - abs(z)) * (1.0 + abs(z))
+        return (1.0 + phase * z * u).real - (1.0 - c + w / (4.0 * c) * abs(u) ** 2)
+
+    def res_iii(z: complex, u: complex) -> float:
+        w = (1.0 - abs(z)) * (1.0 + abs(z))
+        return 2.0 * c - abs(w * phase * u - 2.0 * c * z.conjugate())
+    return res_ii, res_iii
+
+
+def _inf_re(f: AnalyticFn, plan: SamplingPlan, kind: str, alpha: Alpha) -> MarginReport:
+    """Sampled infimum of Re post(z, u), u = f''/f', post the margin
+    e^{i alpha}(1 + z u), res_ii or res_iii as kind says; a u with a ring
+    method gives the scan its values one ring per call."""
+    phase = alpha.phase
+    post = ((lambda z, u: phase * (1.0 + z * u)) if kind == "margin"
+            else characterization_residuals_of(alpha)[("res_ii", "res_iii").index(kind)])
     point, r_limit = _field(f, 1)
 
     def h(z: complex) -> complex:
@@ -143,4 +142,36 @@ def pre_schwarzian_inf_re(f: AnalyticFn, post, plan: SamplingPlan,
     ring = getattr(point, "ring", None)
     if ring is not None:
         h.ring = lambda points: list(map(post, points, ring(points)))
-    return (circle_inf_re if on_circle else weighted_inf_re)(h, plan, r_limit=r_limit)
+    harmonic = kind == "margin" and analytic_pre_schwarzian(f)
+    return (circle_inf_re if harmonic else weighted_inf_re)(h, plan, r_limit=r_limit)
+
+
+def scan(f: AnalyticFn, plan: SamplingPlan, *objectives) -> list[NormEstimate | MarginReport]:
+    """One report per objective, each scanned once per (plan, objective) on f.
+
+    The objectives are 1 and 2, the pre-Schwarzian and Schwarzian norms
+    (NormEstimates from below), and ("margin", alpha), ("res_ii", alpha) and
+    ("res_iii", alpha) (_inf_re's MarginReports), each scanned up to where
+    _field is exact.  Both norms asked in one call of an f whose rational
+    fields u = P/Q and S = N/Q^2 share Q take one grid pass, bit for bit two
+    single scans.  The margin takes the circle alone (circle_inf_re) where
+    analytic_pre_schwarzian(f) makes it harmonic, by the minimum principle,
+    and the 2-D grid elsewhere, as each residual does.  The memo lives in
+    the instance dict of the immutable f.
+    """
+    memo = vars(f).setdefault("_scans", {})
+    todo = [objective for objective in dict.fromkeys(objectives) if (plan, objective) not in memo]
+    if 1 in todo and 2 in todo:
+        u, s = f.pre_schwarzian_field, f.schwarzian_field
+        if u is not None and s.den == u.den:
+            memo[plan, 1], memo[plan, 2] = weighted_sups([(u, 1), (s, 2)], plan,
+                                                         _field(f, 1)[1], u.ring_with(s))
+    for objective in todo:
+        if (plan, objective) in memo:
+            continue
+        if objective in (1, 2):
+            point, r_limit = _field(f, objective)
+            memo[plan, objective] = weighted_sup(point, objective, plan, r_limit=r_limit)
+        else:
+            memo[plan, objective] = _inf_re(f, plan, *objective)
+    return [memo[plan, objective] for objective in objectives]

@@ -2,13 +2,11 @@
 
 A normalized f belongs to the angle-alpha class when
 Re{e^{i alpha}(1 + z f''/f')} > 0 on the disk.  membership_certificate
-certifies that exactly for a generated member at its own alpha, from the
-Blaschke zeros it was built from; for every other function only the
-sampled infimum of the functional (robertson_margin) is available, an
-upper bound of the true infimum, which certifies nothing but is the gate
-the verifiers apply.  Where f''/f' is analytic on the scanned closed disk
-the functional is harmonic there, and robertson_margin samples its
-boundary circle alone (minimum principle).  The module also transfers the
+certifies that exactly, and membership_refutation refutes it exactly, for
+a member built at alpha from stored Blaschke zeros; for every other
+function only the sampled infimum of the functional (robertson_margin) is
+available, an upper bound of the true infimum, which certifies nothing
+but is the gate the verifiers apply.  The module also transfers the
 functional to the spirallike form z g'/g for g = z f', extracts the
 analytic self-map phi behind the subordination, and evaluates the two
 equivalent pointwise characterizations.
@@ -17,12 +15,13 @@ equivalent pointwise characterizations.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 from .catalog import Alpha, AnalyticFn, second_deriv_origin
-from .derivatives import analytic_pre_schwarzian, pre_schwarzian_evaluator, pre_schwarzian_inf_re
+from .derivatives import characterization_residuals_of, pre_schwarzian_evaluator, scan
 from .disksup import MarginReport, SamplingPlan, weighted_inf_re
 from .errors import PhiPoleEncountered, ZeroValueEncountered
 
@@ -43,60 +42,60 @@ def robertson_functional(f: AnalyticFn, alpha: Alpha) -> Callable[[complex], com
 
 def membership_certificate(f: AnalyticFn, alpha: Alpha) -> bool:
     """True when f is a member of the angle-alpha class by construction;
-    False means undecided, not refuted.
+    False means refuted (membership_refutation) or undecided.
 
-    f is certified when it carries the provenance of a generated member
-    built at this alpha whose stored Blaschke zeros all satisfy |a| < 1.
-    Then z phi is a finite Blaschke product, |z phi| < 1 on the open disk,
-    and f''/f' = 2b phi/(1 - z phi), b = e^{-i alpha} cos alpha, gives
-    Re{e^{i alpha}(1 + z f''/f')} = cos alpha (1 - |z phi|^2)/|1 - z phi|^2
-    > 0 there.  A member checked at another alpha, or a provenance with a
-    zero on or outside the circle (or a non-finite one), is undecided.
+    f is certified when it carries the provenance of a member built at this
+    alpha whose stored Blaschke zeros all satisfy |a| < 1.  Then z phi is a
+    finite Blaschke product, |z phi| < 1 on the open disk, and
+    f''/f' = 2b phi/(1 - z phi), b = e^{-i alpha} cos alpha, gives
+    Re{e^{i alpha}(1 + z f''/f')} = cos alpha (1 - |z phi|^2)/|1 - z phi|^2 > 0.
     """
     prov = getattr(f, "provenance", None)
     return prov is not None and prov.alpha == alpha and prov.phi_is_blaschke
 
 
+def membership_refutation(f: AnalyticFn, alpha: Alpha) -> Optional[tuple[complex, float]]:
+    """(p, margin at p) when f is not in the angle-alpha class by
+    construction; None means undecided, or certified.
+
+    f is refuted when it carries the provenance of a member built at this
+    alpha with finite stored zeros, one of which, |a| > 1, puts a pole
+    p = -1/conj(a) of phi in the disk that no stored factor cancels
+    (|prod(p + b)| > PHI_POLE_EPS).  There f''/f' = 2b phi/(1 - z phi) is
+    -2b/p, b = e^{-i alpha} cos alpha, so the margin is -cos alpha < 0.
+    """
+    prov = getattr(f, "provenance", None)
+    if prov is None or prov.alpha != alpha or not all(map(cmath.isfinite, prov.blaschke_zeros)):
+        return None
+    zeros = prov.blaschke_zeros
+    for a in zeros:
+        if abs(a) > 1.0:
+            p = -1.0 / a.conjugate()
+            if abs(math.prod(p + b for b in zeros)) > PHI_POLE_EPS:
+                return p, robertson_functional(f, alpha)(p).real
+    return None
+
+
 def robertson_margin(f: AnalyticFn, alpha: Alpha, plan: SamplingPlan,
                      workers: int = 1) -> MarginReport:
-    """Sampled infimum of the defining real-part functional.
-
-    The scan covers the disk |z| <= R up to the radius where f''/f' is
-    exact, R = min(r_limit, SCAN_CEILING): the open disk, up to
-    SCAN_CEILING, for closed forms and generated members (whose f''/f' is
-    rational), the guard radius for other series-backed f.  Where f''/f' is
-    analytic on that closed disk (analytic_pre_schwarzian: a rational field
-    with no pole inside, or a quotient series), Re e^{i alpha}(1 + z f''/f')
-    is harmonic there, its infimum is attained on |z| = R by the minimum
-    principle, and the scan takes that circle alone (circle_inf_re).  Every
-    other f takes the 2-D grid (weighted_inf_re).  A sampled infimum bounds
-    the true one from above only, so it certifies nothing; the verifiers
-    still gate on it (is_certified_member) every function that
-    membership_certificate leaves undecided, and T41 reports it for every
-    function.  ``workers`` is ignored: the scan runs serially.
-    """
+    """Sampled infimum of the defining real-part functional over
+    |z| <= min(r_limit, SCAN_CEILING), derivatives.scan's ("margin", alpha)
+    objective.  It bounds the true infimum from above only, so it certifies
+    nothing, but the verifiers gate on it (is_certified_member).
+    ``workers`` is ignored: the scan runs serially."""
     if not f.is_normalized:
         raise ValueError(f"{f.name}: membership test needs a normalized function")
-    phase = alpha.phase
-    # On the jet branch (Polynomial, Moebius, ZTimesDerivative) f' may vanish
-    # inside the disk, as may the pole factor den - z num of a member whose
-    # provenance has a zero off the open disk.  There f''/f' has a pole, near
-    # which the margin takes every real value, so its infimum over the disk
-    # is -inf while the circle sees a finite one: those f keep the 2-D scan.
-    return pre_schwarzian_inf_re(f, lambda z, u: phase * (1.0 + z * u), plan,
-                                 on_circle=analytic_pre_schwarzian(f))
+    return scan(f, plan, ("margin", alpha))[0]
 
 
 def is_certified_member(report: MarginReport, tol: float = TOL_MEMBERSHIP) -> bool:
     """Whether a sampled margin passes the verifiers' membership gate: its
     infimum stays above -tol, a slack for rounding and for the truncation
     error of series-backed f.  The gate applies it only to the functions
-    that membership_certificate leaves undecided (closed forms, series,
-    members at another alpha or with a zero outside the open disk); passing
-    it is evidence from samples, not a proof of membership.  For a circle
-    scan the samples lie on |z| = R alone, where the infimum over the
-    closed disk |z| <= R is attained; the sampled minimum may still miss
-    the true one, and R stops short of the unit circle."""
+    that membership_certificate and membership_refutation leave undecided;
+    passing it is evidence from samples, not a proof of membership: the
+    sampled minimum may miss the true one, and the scan stops short of the
+    unit circle."""
     return report.inf_value >= -tol
 
 
@@ -196,23 +195,6 @@ def characterization_residuals(f: AnalyticFn, alpha: Alpha,
         raise ValueError(f"need |z| < 1, got {abs(z)}")
     u = pre_schwarzian_evaluator(f)(z)
     return tuple(res(z, u) for res in characterization_residuals_of(alpha))
-
-
-def characterization_residuals_of(alpha: Alpha
-                                  ) -> tuple[Callable[[complex, complex], float], ...]:
-    """(res_ii, res_iii) of characterization_residuals, each a function of
-    (z, u) with u = f''/f' at z, so that a scan computes only its own."""
-    c = alpha.cos
-    phase = alpha.phase
-
-    def res_ii(z: complex, u: complex) -> float:
-        w = (1.0 - abs(z)) * (1.0 + abs(z))
-        return (1.0 + phase * z * u).real - (1.0 - c + w / (4.0 * c) * abs(u) ** 2)
-
-    def res_iii(z: complex, u: complex) -> float:
-        w = (1.0 - abs(z)) * (1.0 + abs(z))
-        return 2.0 * c - abs(w * phase * u - 2.0 * c * z.conjugate())
-    return res_ii, res_iii
 
 
 @lru_cache(maxsize=1)

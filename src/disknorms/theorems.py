@@ -8,15 +8,12 @@ hypothesis cannot be dropped, so verifiers refuse with precondition_unmet
 instead of failing when f''(0) != 0 or when membership cannot be certified.
 Norm estimates are still computed and reported in those cases.
 
-Membership of a generated member at its own alpha is certified exactly, by
-construction (robertson.membership_certificate), and no margin is scanned
-for it; every other function passes the gate only when its sampled margin
-(robertson_margin) stays above -TOL_MEMBERSHIP, evidence from samples and
-not a proof.  T41 reports the sampled margin of every function.  Where
-f''/f' is analytic on the scanned closed disk (closed forms, members,
-series) that margin is scanned on its boundary circle alone, where the
-minimum principle puts the infimum, so T41's printed margin costs one
-circle; other functions take the 2-D grid.
+Membership of a member built at alpha from stored Blaschke zeros is
+certified or refuted exactly, by construction, with no scan; every other
+function passes the gate only when its sampled margin (robertson_margin)
+stays above -TOL_MEMBERSHIP, evidence from samples and not a proof.  T41
+reports the sampled margin of every function it does not refuse.  Every
+scan is a call of derivatives.scan, whose memo on f shares it.
 """
 
 from __future__ import annotations
@@ -26,11 +23,11 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .catalog import Alpha, AnalyticFn
-from .derivatives import pre_schwarzian_inf_re, weighted_norms
-from .disksup import MarginReport, SamplingPlan
+from .derivatives import scan
+from .disksup import SamplingPlan
 from .quadrature import quadrature_upto
-from .robertson import (characterization_residuals_of, is_certified_member,
-                        membership_certificate, robertson_margin)
+from .robertson import (is_certified_member, membership_certificate, membership_refutation,
+                        robertson_margin)
 
 PASS = "pass"
 FAIL = "fail"
@@ -106,35 +103,28 @@ def _f2_zero_gate(f: AnalyticFn, consequence: str) -> Optional[str]:
     return f"|f''(0)| = {f2:.6g} != 0: {consequence}"
 
 
-def _scan_once(f: AnalyticFn, key: object, scan: Callable[[], object]):
-    """scan(), run once per key on f.  The memo sits in the instance dict of
-    the immutable f, so it lives as long as f; margins are keyed by
-    (alpha, plan) and the weighted_norms pair of both norms by plan."""
-    memo = vars(f).setdefault("_scans", {})
-    if key not in memo:
-        memo[key] = scan()
-    return memo[key]
-
-
-def _sampled_margin(f: AnalyticFn, alpha: Alpha, plan: SamplingPlan) -> MarginReport:
-    """robertson_margin(f, alpha, plan), scanned once per (alpha, plan) on f."""
-    return _scan_once(f, (alpha, plan), lambda: robertson_margin(f, alpha, plan))
-
-
 def _membership_gate(theorem_id: str, f: AnalyticFn, alpha: Alpha, plan: SamplingPlan,
                      note: str = "", side: str = "", estimate: Optional[float] = None,
                      bound: Optional[float] = None) -> Optional[TheoremReport]:
     """None when f passes the membership gate, else the precondition_unmet
-    report that refuses it.  A membership_certificate passes f with no scan;
-    otherwise f passes when its sampled margin does (is_certified_member)."""
+    report that refuses it.  A membership_certificate passes f and a
+    membership_refutation refuses it, with no scan; otherwise f passes when
+    its sampled margin does (is_certified_member)."""
     if membership_certificate(f, alpha):
         return None
-    margin = _sampled_margin(f, alpha, plan)
-    if is_certified_member(margin):
-        return None
+    refuted = membership_refutation(f, alpha)
+    if refuted is not None:
+        witness, value = refuted
+        detail = (f"refuted by construction: membership margin {value:.6g} at "
+                  f"z = {witness!r}, a pole of phi")
+    else:
+        margin = robertson_margin(f, alpha, plan)
+        if is_certified_member(margin):
+            return None
+        witness, detail = margin.witness, _margin_detail(margin)
     return TheoremReport(
-        theorem_id, PRECONDITION_UNMET, 0.0, margin.witness,
-        "not certified as a class member; " + note + _margin_detail(margin) + side,
+        theorem_id, PRECONDITION_UNMET, 0.0, witness,
+        "not certified as a class member; " + note + detail + side,
         estimate=estimate, bound=bound)
 
 
@@ -145,10 +135,8 @@ def verify_T41(f: AnalyticFn, alpha: Alpha, plan: SamplingPlan,
     refusal = _membership_gate("T41", f, alpha, plan, note="the implications are vacuous: ")
     if refusal is not None:
         return refusal
-    margin = _sampled_margin(f, alpha, plan)
-
-    inf_ii, inf_iii = (pre_schwarzian_inf_re(f, res, plan)
-                       for res in characterization_residuals_of(alpha))
+    margin = robertson_margin(f, alpha, plan)
+    inf_ii, inf_iii = scan(f, plan, ("res_ii", alpha), ("res_iii", alpha))
     worst = min(inf_ii.inf_value, inf_iii.inf_value)
     witness = inf_ii.witness if inf_ii.inf_value <= inf_iii.inf_value else inf_iii.witness
     status = PASS if worst >= -tol else FAIL
@@ -222,7 +210,7 @@ def _norm_bound_report(theorem_id: str, f: AnalyticFn, alpha: Alpha,
                        extra_precondition: Optional[str]) -> TheoremReport:
     """Shared body of the norm-bound verifiers; always computes the estimate,
     from the pair of both norms that T43, T44 and T45 share."""
-    est = _scan_once(f, plan, lambda: weighted_norms(f, plan))[k - 1]
+    est = scan(f, plan, 1, 2)[k - 1]
     side = f"norm estimate {est.value:.8g} vs bound {bound:.8g} (tolerance {tol:g})"
     if extra_precondition is not None:
         return TheoremReport(theorem_id, PRECONDITION_UNMET, 0.0, est.witness,
@@ -241,7 +229,7 @@ def _norm_bound_report(theorem_id: str, f: AnalyticFn, alpha: Alpha,
 def verify_T43(f: AnalyticFn, alpha: Alpha, plan: SamplingPlan,
                tol: float = BOUND_TOL, workers: int = 1) -> TheoremReport:
     """Pre-Schwarzian norm <= 2 cos alpha for members with f''(0) = 0.  Both
-    norms are computed (weighted_norms), so T44 and T45 then reuse the scan.
+    norms are computed (scan), so T44 and T45 then reuse the scan.
     ``workers`` is ignored: scans run serially."""
     return _norm_bound_report("T43", f, alpha, plan, 1, 2.0 * alpha.cos, tol,
                               _f2_zero_gate(f, _HYPOTHESIS_NOT_MET))
@@ -257,7 +245,7 @@ def verify_T44(f: AnalyticFn, alpha: Alpha, plan: SamplingPlan,
     |1 - b| = |sin alpha|.  It therefore fails for alpha != 0: the member
     f' = (1 - z^2)^(-b) has norm 2 cos alpha sqrt(4 - 3 cos^2 alpha)
     (tests/test_theorems.py::test_t44_printed_bound_falsified_by_power_member).
-    Both norms are computed (weighted_norms), shared with T43 and T45.
+    Both norms are computed (scan), shared with T43 and T45.
     ``workers`` is ignored: scans run serially.
     """
     c = alpha.cos

@@ -13,8 +13,7 @@ from disknorms import (Alpha, DerivStack, HalfPlane, Identity, Koebe, Moebius,
                        random_member, robertson_margin, schwarzian_at,
                        schwarzian_extremal_closed, schwarzian_series)
 from disknorms.catalog import CLOSED_FORM_CEILING, AnalyticFn, ZTimesDerivative
-from disknorms.derivatives import (_field, pre_schwarzian_of, schwarzian_of, weighted_norm,
-                                   weighted_norms)
+from disknorms.derivatives import _field, pre_schwarzian_of, scan, schwarzian_of
 from disknorms.series import TaylorSeries
 from disknorms.theorems import verify_T41
 
@@ -235,24 +234,27 @@ def _both_norms(scan):
         return type(exc), str(exc)
 
 
-def _assert_one_pass_equals_two_scans(fn, plan):
-    assert (_both_norms(lambda: weighted_norms(fn, plan))
-            == _both_norms(lambda: [weighted_norm(fn, k, plan) for k in (1, 2)])), fn.name
+def _assert_one_pass_equals_two_scans(build, plan):
+    """scan(f, plan, 1, 2) against two single-norm scans, each side on a fresh
+    f = build(), since scan's memo would return the first side's reports."""
+    assert (_both_norms(lambda: scan(build(), plan, 1, 2))
+            == _both_norms(lambda: [scan(build(), plan, k)[0] for k in (1, 2)])), build().name
 
 
 @settings(max_examples=15, deadline=None)
 @given(aval=st.floats(-1.5, 1.5), theta=st.floats(-math.pi, math.pi))
 @example(aval=0.6, theta=math.pi / 128)
 def test_weighted_norms_of_rotated_closed_forms_equal_two_single_scans(aval, theta):
-    for fn in _closed_forms(Alpha(aval), cmath.exp(1j * theta)):
-        _assert_one_pass_equals_two_scans(fn, SamplingPlan())
+    for i in range(5):
+        _assert_one_pass_equals_two_scans(
+            lambda: _closed_forms(Alpha(aval), cmath.exp(1j * theta))[i], SamplingPlan())
 
 
 @settings(max_examples=20, deadline=None)
 @given(aval=st.floats(-1.3, 1.3), seed=st.integers(0, 2 ** 31 - 1),
        degree=st.integers(1, 3), zero_f2=st.booleans())
 def test_weighted_norms_of_members_equal_two_single_scans(aval, seed, degree, zero_f2):
-    _assert_one_pass_equals_two_scans(random_member(Alpha(aval), seed, degree, zero_f2),
+    _assert_one_pass_equals_two_scans(lambda: random_member(Alpha(aval), seed, degree, zero_f2),
                                       SamplingPlan())
 
 
@@ -261,13 +263,53 @@ def test_weighted_norms_without_rational_fields_are_two_single_scans():
     their exception: f' = 0 at the first grid point, a pole there, and a
     series that is not normalized."""
     plan = SamplingPlan(radial_count=16, angular_count=32)
-    raising = (Polynomial((0, 0, 1)), Moebius(1, 1, 1, 0),
-               SeriesFn(TaylorSeries([0, 2, 1]), require_normalized=False))
-    for fn in (Moebius(1.0, 0.3, 0.2, 1.0), Polynomial((0, 1, 0.2, -0.1j, 0.05)),
-               ZTimesDerivative(Koebe()), Koebe().taylor()) + raising:
-        assert fn.pre_schwarzian_field is None
-        _assert_one_pass_equals_two_scans(fn, plan)
-        assert (type(_both_norms(lambda: weighted_norms(fn, plan))) is tuple) == (fn in raising)
+    builds = [lambda: Moebius(1.0, 0.3, 0.2, 1.0), lambda: Polynomial((0, 1, 0.2, -0.1j, 0.05)),
+              lambda: ZTimesDerivative(Koebe()), lambda: Koebe().taylor(),
+              lambda: Polynomial((0, 0, 1)), lambda: Moebius(1, 1, 1, 0),
+              lambda: SeriesFn(TaylorSeries([0, 2, 1]), require_normalized=False)]
+    for i, build in enumerate(builds):
+        assert build().pre_schwarzian_field is None
+        _assert_one_pass_equals_two_scans(build, plan)
+        raises = type(_both_norms(lambda: scan(build(), plan, 1, 2))) is tuple
+        assert raises == (i >= 4)
+
+
+def _scan_subjects(a: Alpha):
+    """Fresh functions of every field path: rational fields sharing one
+    denominator, rational fields that do not (the half-plane map's zero
+    Schwarzian), a quotient series and the guarded jet."""
+    return [random_member(a, 5, 2), SpiralPower(a, cmath.exp(0.3j)), HalfPlane(),
+            random_member(a, 5, 2).taylor(), Polynomial((0, 1, 0.2, -0.1j, 0.05))]
+
+
+def test_repeated_scan_evaluates_nothing(monkeypatch):
+    """Once scanned, every objective comes from the memo on f, in the order
+    asked: a repeat takes no field and calls no disksup entry, and gives the
+    very reports of the first call."""
+    from disknorms import derivatives
+    a, plan = Alpha(0.6), SamplingPlan(radial_count=16, angular_count=32)
+    objectives = [1, 2, ("margin", a), ("res_ii", a), ("res_iii", a)]
+    fns = _scan_subjects(a)
+    first = [scan(fn, plan, *objectives) for fn in fns]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a memoized objective was scanned again")
+    for name in ("_field", "weighted_sup", "weighted_sups", "weighted_inf_re", "circle_inf_re"):
+        monkeypatch.setattr(derivatives, name, refuse)
+    for fn, reports in zip(fns, first):
+        again = scan(fn, plan, *objectives[::-1])
+        assert list(map(id, again)) == list(map(id, reports[::-1])), fn.name
+        assert list(map(id, scan(fn, plan, ("margin", Alpha(0.6)), 2, 2))) == [
+            id(reports[2]), id(reports[1]), id(reports[1])]
+
+
+def test_scan_order_of_objectives_only_orders_the_reports():
+    """scan(f, plan, 2, 1) is scan(f, plan, 1, 2) reversed, bit for bit, each
+    on a fresh f, on every field path."""
+    a, plan = Alpha(-0.4), SamplingPlan(radial_count=16, angular_count=32)
+    for fn, other in zip(_scan_subjects(a), _scan_subjects(a)):
+        assert ([_estimate_bits(e) for e in scan(fn, plan, 2, 1)]
+                == [_estimate_bits(e) for e in scan(other, plan, 1, 2)[::-1]]), fn.name
 
 
 # (alpha, seed, degree, f''(0) = 0) of members whose Schwarzian norm scans end
@@ -290,7 +332,7 @@ def test_member_fields_match_self_map_near_the_circle():
         a = Alpha(aval)
         b = cmath.exp(-1j * a.value) * a.cos
         m = random_member(a, seed, degree, zero_f2)
-        est = weighted_norm(m, 2, SamplingPlan())
+        est = scan(m, SamplingPlan(), 2)[0]
         exact = exact_weighted_schwarzian(m, a, est.witness)
         assert abs(est.value - exact) <= 1e-6 * max(1.0, exact)
         for j in range(256):
@@ -335,7 +377,7 @@ def test_closed_form_norms_at_zeta_one_match_exact_values(aval):
                             (SpiralPower(a), (4 * c, 8 * c * s)),
                             (Koebe(), (6.0, 6.0)), (HalfPlane(), (4.0, 0.0))):
         for k, exact in zip((1, 2), exact_norms):
-            value = weighted_norm(fn, k, plan).value
+            value = scan(fn, plan, k)[0].value
             assert exact - 1e-3 <= value <= exact + 1e-9, (fn.name, k)
 
 
@@ -353,7 +395,7 @@ def test_rotated_norm_estimates_never_exceed_the_exact_norms(aval, theta):
     for fn, exact_norms in ((RobertsonExtremal(a, zeta), (2 * c, 2 * c * (2 - c))),
                             (SpiralPower(a, zeta), (4 * c, 8 * c * s))):
         for k, exact in zip((1, 2), exact_norms):
-            assert weighted_norm(fn, k, plan).value <= exact + 1e-9, (fn.name, k)
+            assert scan(fn, plan, k)[0].value <= exact + 1e-9, (fn.name, k)
 
 
 def test_field_picks_the_path_by_what_f_provides():
@@ -372,8 +414,9 @@ def test_field_picks_the_path_by_what_f_provides():
 
 
 def test_closed_form_scans_evaluate_no_derivative_stack(monkeypatch):
-    """Norm, margin and T41 residual scans of the closed forms evaluate their
-    rational fields only, never jet."""
+    """Norm scans (both in one pass, and one at a time), margin and T41
+    residual scans of the closed forms evaluate their rational fields only,
+    never jet."""
     def refuse(self, z, lo=0, hi=3):
         raise AssertionError(f"{self.name}: jet({z!r}, {lo}, {hi}) called")
     monkeypatch.setattr(AnalyticFn, "jet", refuse)
@@ -381,8 +424,9 @@ def test_closed_form_scans_evaluate_no_derivative_stack(monkeypatch):
         pre_schwarzian_at(Koebe(), 0.5)
     a, plan = Alpha(0.6), SamplingPlan()
     for zeta in (1.0, cmath.exp(0.3j)):
-        for fn in _closed_forms(a, zeta):
-            for k in (1, 2):
-                weighted_norm(fn, k, plan)
+        for fn, single in zip(_closed_forms(a, zeta), _closed_forms(a, zeta)):
+            scan(fn, plan, 1, 2)
+            scan(single, plan, 1)
+            scan(single, plan, 2)
             robertson_margin(fn, a, plan)
             verify_T41(fn, a, plan)

@@ -11,10 +11,9 @@ from hypothesis import given, settings, strategies as st
 from disknorms import (Alpha, HalfPlane, Identity, Koebe, RobertsonExtremal, SamplingPlan,
                        SpiralPower, radial_profile, random_disk_points, random_member,
                        robertson_margin, weighted_inf_re, weighted_sup)
-from disknorms.derivatives import (_field, pre_schwarzian_evaluator, pre_schwarzian_inf_re,
-                                   schwarzian_evaluator, weighted_norm)
+from disknorms.derivatives import _field, pre_schwarzian_evaluator, scan, schwarzian_evaluator
 from disknorms.disksup import SCAN_CEILING, _point, ring_points, weight_factor
-from disknorms.robertson import characterization_residuals_of, robertson_functional
+from disknorms.robertson import robertson_functional
 from disknorms.theorems import verify_T41, verify_T43, verify_T44, verify_T45
 from test_catalog import catalog_entries
 
@@ -98,9 +97,8 @@ def test_no_scan_samples_beyond_the_scan_ceiling():
     hp, a = HalfPlane(), Alpha(0.4)
     m = random_member(a, seed=3, degree=2)
     ev = pre_schwarzian_evaluator(hp)
-    scans = [weighted_norm(f, k, PLAN) for f in (hp, m) for k in (1, 2)]
-    scans.append(robertson_margin(m, a, PLAN))
-    scans += [pre_schwarzian_inf_re(m, res, PLAN) for res in characterization_residuals_of(a)]
+    scans = scan(hp, PLAN, 1, 2) + scan(m, PLAN, 1, 2, ("margin", a), ("res_ii", a),
+                                         ("res_iii", a))
     for r_limit in (1.0 - 1e-12, SCAN_CEILING, 0.5):
         scans += [weighted_sup(ev, 1, PLAN, r_limit=r_limit),
                   weighted_sup(ev, 2, PLAN, r_limit=r_limit),
@@ -274,7 +272,7 @@ def test_grid_scores_the_origin_once(m):
     rep = weighted_inf_re(g, SamplingPlan(angular_count=m), r_limit=1 - 1e-6)
     assert [(z.real.hex(), z.imag.hex()) for z in calls if z == 0] == [("0x0.0p+0",) * 2]
     assert rep.samples == len(calls) - 1
-    est = weighted_norm(HalfPlane(), 2, PLAN)
+    est = scan(HalfPlane(), PLAN, 2)[0]
     assert (est.value, est.witness_r, est.witness_theta) == (0.0, 0.0, 0.0)
     assert (est.witness.real.hex(), est.witness.imag.hex()) == ("0x0.0p+0",) * 2
 

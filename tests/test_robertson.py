@@ -6,15 +6,15 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from disknorms import (Alpha, HalfPlane, Identity, Koebe, RobertsonExtremal,
-                       SamplingPlan, SpiralPower, ZTimesDerivative,
+from disknorms import (Alpha, GeneratedMember, HalfPlane, Identity, Koebe, MemberProvenance,
+                       RobertsonExtremal, SamplingPlan, SpiralPower, ZTimesDerivative,
                        characterization_residuals, cubic_root, duality_check,
                        is_certified_member, membership_certificate, phi_transform,
                        random_disk_points,
                        random_member, robertson_margin, spirallike_margin,
                        univalence_criteria, verify_T41, weighted_inf_re, weighted_sup)
 from disknorms.derivatives import _field, pre_schwarzian_evaluator
-from disknorms.robertson import robertson_functional
+from disknorms.robertson import membership_refutation, robertson_functional
 from disknorms.errors import PhiPoleEncountered
 
 PLAN = SamplingPlan()
@@ -122,6 +122,53 @@ def test_jet_branch_margin_keeps_the_grid():
     assert rep == weighted_inf_re(h, PLAN, r_limit=f.radius_limit)
     assert rep.inf_value < -100.0 and abs(rep.witness + 0.5) < 0.01
     assert circle_inf_re(h, PLAN, r_limit=f.radius_limit).inf_value > 1.0
+
+
+# -- membership_refutation ---------------------------------------------------
+
+@settings(max_examples=25, deadline=None)
+@given(aval=st.floats(-1.5, 1.5), other=st.floats(-1.5, 1.5),
+       seed=st.integers(0, 2 ** 31 - 1), degree=st.integers(1, 3), zero_f2=st.booleans())
+def test_no_generated_member_is_refuted(aval, other, seed, degree, zero_f2):
+    """Every stored zero of a generated member has |a| <= 0.8, so phi has no
+    pole in the disk: the member is refuted neither at its own alpha, where it
+    is certified, nor at another one."""
+    m = random_member(Alpha(aval), seed, degree, zero_f2)
+    assert membership_certificate(m, Alpha(aval))
+    assert membership_refutation(m, Alpha(aval)) is None
+    assert membership_refutation(m, Alpha(other)) is None
+
+
+def _hand_built(aval, zeros, zero_f2=False):
+    return GeneratedMember(MemberProvenance(Alpha(aval), 0, len(zeros), zero_f2, tuple(zeros),
+                                            0.0))
+
+
+def test_refutation_witness_is_the_pole_of_phi():
+    """A zero a with |a| > 1 puts a pole p = -1/conj(a) of phi in the disk,
+    where f''/f' = -2b/p and the margin is exactly -cos(alpha); at another
+    alpha the same function is undecided."""
+    for aval, a, others, zero_f2 in ((0.4, 1.25 * cmath.exp(2.0j), [0.3 - 0.5j], False),
+                                     (-1.1, 3.0 + 1.0j, [0.6j, -0.2], True)):
+        f = _hand_built(aval, others + [a], zero_f2)
+        p = -1.0 / a.conjugate()
+        witness, margin = membership_refutation(f, Alpha(aval))
+        assert witness == p and abs(p) < 1.0
+        assert abs(margin + Alpha(aval).cos) <= 1e-12
+        assert not membership_certificate(f, Alpha(aval))
+        assert membership_refutation(f, Alpha(0.0)) is None
+
+
+def test_cancelled_unimodular_and_non_finite_zeros_are_not_refuted():
+    """A pair (a, 1/conj(a)) cancels the pole of phi (their product is the
+    unimodular constant a/conj(a)), a zero with |a| = 1 puts it on the circle,
+    and a non-finite zero leaves phi undefined: each stays undecided."""
+    a = 1.25 * cmath.exp(0.7j)
+    for zeros in ([a, 1.0 / a.conjugate()], [cmath.exp(2.5j), 0.4],
+                  [complex(math.inf, 0.0), a], [complex(math.nan, 0.0), a]):
+        f = _hand_built(0.5, zeros)
+        assert membership_refutation(f, Alpha(0.5)) is None
+        assert not membership_certificate(f, Alpha(0.5))
 
 
 # -- spirallike_margin -------------------------------------------------------

@@ -13,7 +13,7 @@ import math
 
 import pytest
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from disknorms import (Alpha, GeneratedMember, HalfPlane, Koebe, MemberProvenance,
                        RobertsonExtremal, SamplingPlan, SeriesFn, SpiralPower,
@@ -23,8 +23,9 @@ from disknorms import (Alpha, GeneratedMember, HalfPlane, Koebe, MemberProvenanc
                        robertson_margin, t45_bound, verify_T41,
                        verify_T42_distortion, verify_T42_growth, verify_T43,
                        verify_T44, verify_T45)
-from disknorms.derivatives import weighted_norm
+from disknorms.derivatives import scan
 from disknorms.errors import DiskNormsError, MaxSubdivisions
+from disknorms.robertson import membership_refutation
 from disknorms.quadrature import _GL15_NODES, _GL15_WEIGHTS, MAX_PANELS, quadrature_upto
 from disknorms.theorems import GROWTH_R_CAP, growth_table
 from test_catalog import catalog_entries
@@ -293,7 +294,8 @@ def test_t43_scans_a_member_past_the_guard_circle():
     a = Alpha(-0.4400355213402305)
     m = random_member(a, seed=1249907269, degree=1, zero_second_deriv=True)
     rep = verify_T43(m, a, PLAN)
-    est = weighted_norm(m, 1, PLAN)
+    # a fresh member: scan's memo would return the estimate T43 took
+    est = scan(random_member(a, seed=1249907269, degree=1, zero_second_deriv=True), PLAN, 1)[0]
     assert rep.estimate == est.value > 1.39121 + 0.05
     assert est.witness_r > 0.95
     w = est.witness
@@ -523,17 +525,27 @@ def test_t45_printed_bound_falsified_for_some_members():
     assert rep.estimate > rep.bound + 1e-3
 
 
+def _count_scans(monkeypatch) -> list:
+    """The names of the disksup scan entries that derivatives.scan calls, in
+    call order, from now on."""
+    from disknorms import derivatives
+    calls = []
+
+    def counted(name, entry):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return entry(*args, **kwargs)
+        return call
+    for name in ("weighted_sup", "weighted_sups", "weighted_inf_re", "circle_inf_re"):
+        monkeypatch.setattr(derivatives, name, counted(name, getattr(derivatives, name)))
+    return calls
+
+
 def test_margin_computed_once_per_member_alpha_and_plan(monkeypatch):
     """T41-T45 share one sampled membership margin per (f, alpha, plan) on a
     function with no membership certificate: a member's Taylor series, a
-    plain SeriesFn."""
-    from disknorms import theorems
-    calls = []
-
-    def counted(f, alpha, plan, workers=1):
-        calls.append((id(f), alpha, plan))
-        return robertson_margin(f, alpha, plan)
-    monkeypatch.setattr(theorems, "robertson_margin", counted)
+    plain SeriesFn.  Per plan, the only scans are one circle for the margin,
+    T41's two residual grids and T43's two norm grids."""
     a = Alpha(0.5)
     coarse = SamplingPlan(radial_count=16, angular_count=32)
     coarser = SamplingPlan(radial_count=8, angular_count=16)
@@ -545,8 +557,10 @@ def test_margin_computed_once_per_member_alpha_and_plan(monkeypatch):
     def fresh():
         return random_member(a, seed=2, degree=2, zero_second_deriv=True).taylor()
     f = fresh()
+    calls = _count_scans(monkeypatch)
     shared = [verify(f, a, plan) for verify, plan in runs]
-    assert calls == [(id(f), a, coarse), (id(f), a, coarser)]
+    assert calls == ["circle_inf_re", "weighted_inf_re", "weighted_inf_re",
+                     "weighted_sup", "weighted_sup"] * 2
     assert all(rep.status == "pass" for rep in shared)
     # a report from a shared margin is the one a fresh margin gives
     assert shared == [verify(fresh(), a, plan) for verify, plan in runs]
@@ -597,10 +611,9 @@ def test_norm_estimate_computed_once_per_member_order_and_plan(monkeypatch):
 
 def test_certified_members_scan_no_margin_outside_t41(monkeypatch):
     """A generated member at its own alpha passes the membership gate by its
-    certificate: T42d, T42g, T43, T44 and T45 never call robertson_margin and
-    give the reports of fresh members; T41 still reports the sampled margin,
-    scanned once."""
-    from disknorms import theorems
+    certificate: T42d, T42g, T43, T44 and T45 scan no margin, only T43's one
+    pass of both norms, and give the reports of fresh members; T41 still
+    reports the sampled margin, scanned once on the circle."""
     a = Alpha(-0.7)
     plan = SamplingPlan(radial_count=16, angular_count=32)
     pts = random_disk_points(15, seed=3, radius=0.9)
@@ -613,22 +626,15 @@ def test_certified_members_scan_no_margin_outside_t41(monkeypatch):
     expected = [[run(build()) for run in runs] for build in builds]
     t41 = [verify_T41(build(), a, plan) for build in builds]
     members = [build() for build in builds]
-
-    def refuse(f, alpha, plan, workers=1):
-        raise AssertionError("a certified member's margin was scanned")
-    monkeypatch.setattr(theorems, "robertson_margin", refuse)
+    calls = _count_scans(monkeypatch)
     assert [[run(m) for run in runs] for m in members] == expected
+    assert calls == ["weighted_sups"] * len(members)
     assert [rep.status for rep in expected[0]] == ["pass"] * 5
-    calls = []
-
-    def counted(f, alpha, plan, workers=1):
-        calls.append(id(f))
-        return robertson_margin(f, alpha, plan)
-    monkeypatch.setattr(theorems, "robertson_margin", counted)
+    calls.clear()
     for m, want in zip(members, t41):
         assert [verify_T41(m, a, plan), verify_T41(m, a, plan)] == [want, want]
         assert "sampled membership margin" in want.details
-    assert calls == [id(m) for m in members]
+    assert calls == ["circle_inf_re", "weighted_inf_re", "weighted_inf_re"] * len(members)
 
 
 def _parent_gate(f, alpha, plan):
@@ -653,12 +659,17 @@ def _outcome(gate, f, alpha, plan):
 @given(aval=st.floats(-1.4, 1.4), other=st.floats(-1.4, 1.4),
        seed=st.integers(0, 2 ** 31 - 1), degree=st.integers(1, 3), zero_f2=st.booleans(),
        slot=st.integers(0, 2), psi=st.floats(0.0, 2 * math.pi))
+# the 16 x 32 sampled margin of this hand-built member reads +1.02e-6, and
+# admitted it, where the 32 x 64 one reads -260.9
+@example(aval=0.0, other=1.0, seed=455, degree=2, zero_f2=True, slot=1, psi=4.5625)
 def test_gate_certifies_only_members_at_their_own_alpha(aval, other, seed, degree, zero_f2,
                                                          slot, psi):
-    """No function outside the certificate's reach is certified, and the gate
-    refuses or passes each one as its sampled margin alone does: a hand-built
-    provenance with a zero of modulus 1.25, a member built at another alpha,
-    RobertsonExtremal(alpha != 0) and every catalog_entries() function."""
+    """No function outside the certificate's reach is certified.  A hand-built
+    provenance with a zero a of modulus 1.25 is refuted by construction: the
+    gate refuses it with the pole p = -1/conj(a) of phi as its witness, where
+    the margin is -cos(alpha).  The gate refuses or passes every other
+    function as its sampled margin alone does: a member built at another
+    alpha, RobertsonExtremal(alpha != 0) and every catalog_entries() function."""
     from disknorms.theorems import _membership_gate
     assume(aval != other and aval != 0.9)  # catalog_entries() has a member at 0.9
     a = Alpha(aval)
@@ -670,9 +681,15 @@ def test_gate_certifies_only_members_at_their_own_alpha(aval, other, seed, degre
     fns = [hand, random_member(Alpha(other), seed, degree, zero_f2), *catalog_entries()]
     if aval != 0:
         fns.append(RobertsonExtremal(a))
-    assert _outcome(_parent_gate, hand, a, plan) is not None
+    p = -1.0 / zeros[slot % degree].conjugate()
+    witness, margin = membership_refutation(hand, a)
+    assert witness == p and abs(margin + a.cos) <= 1e-12
+    refusal = _membership_gate("T43", hand, a, plan)
+    assert refusal.status == "precondition_unmet" and refusal.witness == p
+    assert "refuted by construction" in refusal.details and "sampled" not in refusal.details
     for f in fns:
         assert not membership_certificate(f, a), f.name
+    for f in fns[1:]:
         assert _outcome(lambda *args: _membership_gate("T43", *args), f, a, plan) == \
             _outcome(_parent_gate, f, a, plan), f.name
 
