@@ -1,9 +1,9 @@
 """Weighted Schwarzian-type norms and class-membership checks on the unit disk."""
 
 from .catalog import (Alpha, AnalyticFn, DerivStack, GeneratedMember, HalfPlane, Identity,
-                      Koebe, MemberProvenance, Moebius, Polynomial, RationalField,
-                      RobertsonExtremal, SeriesFn, SpiralPower, ZTimesDerivative,
-                      eval_derivatives, random_member, second_deriv_origin)
+                      Koebe, MemberProvenance, Moebius, RationalField, RobertsonExtremal,
+                      SeriesFn, SpiralPower, eval_derivatives, random_member,
+                      second_deriv_origin)
 from .derivatives import (pre_schwarzian_at, pre_schwarzian_series,
                           schwarzian_at, schwarzian_extremal_closed,
                           schwarzian_series)
@@ -29,8 +29,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Alpha", "AnalyticFn", "DerivStack", "GeneratedMember", "HalfPlane", "Identity",
-    "Koebe", "MemberProvenance", "Moebius", "Polynomial", "RationalField",
-    "RobertsonExtremal", "SeriesFn", "SpiralPower", "ZTimesDerivative", "eval_derivatives",
+    "Koebe", "MemberProvenance", "Moebius", "RationalField",
+    "RobertsonExtremal", "SeriesFn", "SpiralPower", "eval_derivatives",
     "random_member", "second_deriv_origin",
     "pre_schwarzian_at", "pre_schwarzian_series", "schwarzian_at",
     "schwarzian_extremal_closed", "schwarzian_series",

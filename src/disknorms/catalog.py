@@ -3,13 +3,13 @@
 Each entry gives its k-th derivative, unguarded, as _derivative(z, k), or
 the orders lo..hi at once as _derivatives(z, lo, hi) where the orders share
 work: closed-form entries (identity, half-plane map, Koebe, the extremal
-power families, Moebius maps, polynomials) by exact formulas, series-backed
-entries from their termwise derivative series.  AnalyticFn.jet(z, lo, hi)
+power families, Moebius maps) by exact formulas, series-backed entries
+from their termwise derivative series.  AnalyticFn.jet(z, lo, hi)
 returns the orders lo..hi and nothing more, and it alone applies the radius,
 finiteness and local-univalence guards.  A deterministic generator
 produces genuine members of the angle-alpha convexity class by choosing an
-analytic self-map phi = num/den of the disk as a Blaschke product.  The
-closed forms the CLI builds and every generated member carry f''/f' as
+analytic self-map phi = num/den of the disk as a Blaschke product.  Every
+closed form and every generated member carries f''/f' as
 pre_schwarzian_field, a RationalField exact on the whole open disk, from
 which AnalyticFn derives schwarzian_field; a member's Taylor series, needed
 only for pointwise values of f and its derivatives, is built on first use.
@@ -431,40 +431,18 @@ class Moebius(AnalyticFn):
         det = self.a * self.d - self.b * self.c
         return math.factorial(k) * (-self.c) ** (k - 1) * det / w ** (k + 1)
 
+    @cached_property
+    def pre_schwarzian_field(self) -> RationalField:
+        """-2c/(c z + d); raises NonFiniteValue, as jet does at the pole, when
+        the pole -d/c lies in the open disk.  Its Schwarzian is exactly 0."""
+        if abs(self.d) < abs(self.c):
+            raise NonFiniteValue(f"moebius: pole at z = {-self.d / self.c!r} in the disk")
+        return RationalField([-2 * self.c], [self.d, self.c])
+
     def taylor(self, order=DEFAULT_ORDER, guard_radius=DEFAULT_GUARD_RADIUS):
         num = TaylorSeries.from_polynomial([self.b, self.a], order, guard_radius)
         den = TaylorSeries.from_polynomial([self.d, self.c], order, guard_radius)
         return SeriesFn(num / den, require_normalized=False)
-
-
-@dataclass(frozen=True)
-class Polynomial(AnalyticFn):
-    coeffs: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
-
-    @property
-    def name(self):
-        return "polynomial"
-
-    @property
-    def is_normalized(self):
-        cs = self.coeffs
-        return abs(cs[0]) == 0 and len(cs) > 1 and cs[1] == 1
-
-    def _derivative(self, z, k):
-        acc = 0j
-        for n in range(len(self.coeffs) - 1, k - 1, -1):
-            fall = 1.0
-            for j in range(k):
-                fall *= n - j
-            acc = acc * z + fall * self.coeffs[n]
-        return acc
-
-    def taylor(self, order=DEFAULT_ORDER, guard_radius=DEFAULT_GUARD_RADIUS):
-        return SeriesFn(TaylorSeries.from_polynomial(list(self.coeffs), order, guard_radius),
-                        require_normalized=self.is_normalized)
 
 
 class SeriesFn(AnalyticFn):
@@ -505,9 +483,6 @@ class SeriesFn(AnalyticFn):
     def _derivative(self, z, k):
         return self._diff(k).eval(z)
 
-    def derivative_series(self) -> tuple[TaylorSeries, TaylorSeries, TaylorSeries]:
-        return self._diff(1), self._diff(2), self._diff(3)
-
     @cached_property
     def pre_schwarzian_series(self) -> TaylorSeries:
         """Series of f''/f' by series division; requires |f'(0)| = 1."""
@@ -524,36 +499,6 @@ class SeriesFn(AnalyticFn):
 
     def taylor(self, order=DEFAULT_ORDER, guard_radius=DEFAULT_GUARD_RADIUS):
         return self
-
-
-class ZTimesDerivative(AnalyticFn):
-    """g(z) = z f'(z); normalized whenever f is.
-
-    Used for the duality transfer between the convexity-type and
-    spirallikeness-type margins: z g'/g = 1 + z f''/f' identically.  Each
-    derivative g^(k) = k f^(k) + z f^(k+1) (g = z f' for k = 0) comes from
-    one call of the base's guarded jet per jet of g, for the orders
-    max(lo, 1)..hi + 1, so g needs neither the value of f nor any order of f
-    twice.
-    """
-
-    def __init__(self, base: AnalyticFn):
-        self.base = base
-        self.is_normalized = base.is_normalized
-
-    @property
-    def name(self):
-        return f"z-times-derivative({self.base.name})"
-
-    @property
-    def radius_limit(self):
-        return self.base.radius_limit
-
-    def _derivatives(self, z, lo, hi):
-        first = max(lo, 1)
-        fs = self.base.jet(z, first, hi + 1)  # fs[j] = f^(first + j)(z)
-        return tuple(z * fs[0] if k == 0 else k * fs[k - first] + z * fs[k + 1 - first]
-                     for k in range(lo, hi + 1))
 
 
 def eval_derivatives(f: AnalyticFn, z: complex) -> DerivStack:

@@ -8,10 +8,10 @@ rational fields of closed forms and generated members there too.
 
 _field is the one place that picks, by what f provides, how f''/f' and the
 Schwarzian are evaluated and up to which radius that is exact: its rational
-fields on the open disk, else its quotient series to the guard radius, else
-its guarded jet.  Every scan of a function goes through one entry with one
-memo on f, scan(f, plan, *objectives): the two weighted norms, the
-membership margin and T41's two residuals, each a functional of f''/f'.
+fields on the open disk, else its quotient series to the guard radius.
+Every scan of a function goes through one entry with one memo on f,
+scan(f, plan, *objectives): the two weighted norms, the membership margin
+and T41's two residuals, each a functional of f''/f'.
 """
 
 from __future__ import annotations
@@ -75,18 +75,16 @@ def _field(f: AnalyticFn, k: int):
     the pointwise evaluator and the radius up to which it is exact.
 
     A function with rational fields gives them, up to CLOSED_FORM_CEILING;
-    one with derivative series (a SeriesFn) gives its cached quotient series'
-    eval, up to the series' guard radius; any other f (Polynomial, Moebius,
-    ZTimesDerivative, where f' may vanish or a pole may lie in the disk)
-    gives its formula over the guarded jet, up to its radius_limit."""
+    any other SeriesFn gives its cached quotient series' eval, up to the
+    series' guard radius.  Any other f raises TypeError: its f''/f' over
+    the guarded jet has a pole wherever f' vanishes, which no scan sees."""
     field = f.pre_schwarzian_field if k == 1 else f.schwarzian_field
     if field is not None:
         return field, CLOSED_FORM_CEILING
-    if hasattr(f, "derivative_series"):
+    if isinstance(f, SeriesFn):
         s = pre_schwarzian_series(f) if k == 1 else schwarzian_series(f)
         return s.eval, f.radius_limit
-    at = pre_schwarzian_at if k == 1 else schwarzian_at
-    return (lambda z: at(f, z)), f.radius_limit
+    raise TypeError(f"{f.name}: no rational field and no series of f''/f' to scan")
 
 
 def pre_schwarzian_evaluator(f: AnalyticFn):
@@ -101,12 +99,10 @@ def schwarzian_evaluator(f: AnalyticFn):
 
 def analytic_pre_schwarzian(f: AnalyticFn) -> bool:
     """Whether _field(f, 1) evaluates f''/f' by a function analytic on every
-    closed disk inside its r_limit: a quotient series, a closed form's
-    rational field, or a member's 2b num/(den - z num) when its phi is a
-    Blaschke product (a hand-built zero off the open disk can put a pole
-    inside).  The guarded jet's f''/f' has a pole wherever f' vanishes."""
-    if f.pre_schwarzian_field is None:
-        return hasattr(f, "derivative_series")
+    closed disk inside its r_limit: a quotient series and a closed form's
+    rational field always are, a member's 2b num/(den - z num) is when its
+    phi is a Blaschke product (a hand-built zero off the open disk can put
+    a pole inside)."""
     prov = getattr(f, "provenance", None)
     return prov is None or prov.phi_is_blaschke
 

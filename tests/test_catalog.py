@@ -6,13 +6,14 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from disknorms import (Alpha, AnalyticFn, HalfPlane, Identity, Koebe, Moebius, Polynomial,
-                       RationalField, RobertsonExtremal, SeriesFn, SpiralPower, TaylorSeries,
+from disknorms import (Alpha, AnalyticFn, HalfPlane, Identity, Koebe, Moebius, RationalField,
+                       RobertsonExtremal, SeriesFn, SpiralPower, TaylorSeries,
                        NonFiniteValue, OutsideGuardRadius, VanishingDerivative, eval_derivatives,
                        SamplingPlan, quadrature_complex, random_disk_points, random_member,
                        second_deriv_origin)
 from disknorms.derivatives import scan
 from disknorms.disksup import ring_points
+from fixtures import Polynomial, ZTimesDerivative
 
 FD_STEP = 1e-5
 
@@ -33,6 +34,12 @@ def catalog_entries():
         Polynomial((0, 1, 0.2, -0.1j, 0.05)),
         random_member(Alpha(0.9), seed=11, degree=2),
     ]
+
+
+def scannable(fn):
+    """fn, or the series form of a test-only kind, which has neither a
+    rational field nor a series of f''/f' for a scan to take."""
+    return fn.taylor() if isinstance(fn, Polynomial) else fn
 
 
 def test_identity_stack():
@@ -129,7 +136,8 @@ def test_schwarzian_field_is_derived_from_the_pre_schwarzian_field_only():
     round nothing, so Koebe's is exactly -6/(1 - z^2)^2 and the half-plane
     map's is the zero field 0/1."""
     from disknorms.catalog import GeneratedMember
-    for cls in (Identity, HalfPlane, Koebe, RobertsonExtremal, SpiralPower, GeneratedMember):
+    for cls in (Identity, HalfPlane, Koebe, RobertsonExtremal, SpiralPower, Moebius,
+                GeneratedMember):
         assert "schwarzian_field" not in vars(cls)
     kb = Koebe()
     assert kb.schwarzian_field is kb.schwarzian_field
@@ -148,7 +156,6 @@ def test_series_fourth_derivative_series_built_once():
     third-derivative series' diff(), and the spirallike margin of z f' is
     pinned."""
     from disknorms import SamplingPlan, spirallike_margin
-    from disknorms.catalog import ZTimesDerivative
     m = random_member(Alpha(0.4), 3, 2, True)
     for z in random_disk_points(25, seed=19, radius=0.95):
         (f4,), ref = m.jet(z, 4, 4), m._diff(3).diff().eval(z)
@@ -165,7 +172,6 @@ def test_z_times_derivative_takes_one_base_jet_per_jet(monkeypatch):
     max(lo, 1)..hi + 1, and gives the values of g = z f' and
     g^(k) = k f^(k) + z f^(k+1) from one base order each, bit for bit; the
     base's f' guard applies exactly when g needs f' (lo <= 1)."""
-    from disknorms.catalog import ZTimesDerivative
     m = random_member(Alpha(0.4), 3, 2, True)
     g = ZTimesDerivative(m)
     z = 0.3 + 0.4j
@@ -272,10 +278,11 @@ def _estimate_bits(est):
 def test_weighted_norms_equal_two_single_scans(i):
     """The one grid pass of both norms gives each estimate bit for bit; each
     side scans a fresh function, since scan's memo would return the first
-    side's reports."""
+    side's reports.  A polynomial is scanned by its series form."""
     plan = SamplingPlan()
-    assert ([_estimate_bits(e) for e in scan(catalog_entries()[i], plan, 1, 2)]
-            == [_estimate_bits(scan(catalog_entries()[i], plan, k)[0]) for k in (1, 2)])
+    assert ([_estimate_bits(e) for e in scan(scannable(catalog_entries()[i]), plan, 1, 2)]
+            == [_estimate_bits(scan(scannable(catalog_entries()[i]), plan, k)[0])
+                for k in (1, 2)])
 
 
 def test_second_deriv_origin_examples():
@@ -392,7 +399,7 @@ def test_jet_guards_f_prime_only_when_it_returns_it():
 
 def test_series_fprime_matches_jet_with_its_guards():
     member = random_member(Alpha(0.3), seed=4, degree=2)
-    d1 = member.derivative_series()[0]
+    d1 = member._diff(1)
     for z in random_disk_points(20, seed=6, radius=0.95):
         assert member.jet(z, 1, 1)[0] == d1.eval(z)
     with pytest.raises(OutsideGuardRadius):

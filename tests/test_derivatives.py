@@ -3,19 +3,21 @@ rational fields of closed forms and members, invariances."""
 
 import cmath
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from disknorms import (Alpha, DerivStack, HalfPlane, Identity, Koebe, Moebius,
-                       Polynomial, RobertsonExtremal, SamplingPlan, SeriesFn, SpiralPower,
+from disknorms import (Alpha, DerivStack, HalfPlane, Identity, Koebe, Moebius, NonFiniteValue,
+                       RobertsonExtremal, SamplingPlan, SeriesFn, SpiralPower,
                        pre_schwarzian_at, pre_schwarzian_series, random_disk_points,
                        random_member, robertson_margin, schwarzian_at,
                        schwarzian_extremal_closed, schwarzian_series)
-from disknorms.catalog import CLOSED_FORM_CEILING, AnalyticFn, ZTimesDerivative
+from disknorms.catalog import CLOSED_FORM_CEILING, AnalyticFn
 from disknorms.derivatives import _field, pre_schwarzian_of, scan, schwarzian_of
 from disknorms.series import TaylorSeries
 from disknorms.theorems import verify_T41
+from fixtures import Polynomial, ZTimesDerivative
 
 
 def test_pre_schwarzian_identity_zero():
@@ -259,27 +261,29 @@ def test_weighted_norms_of_members_equal_two_single_scans(aval, seed, degree, ze
 
 
 def test_weighted_norms_without_rational_fields_are_two_single_scans():
-    """Kinds without rational fields give the two scans' results, or raise
-    their exception: f' = 0 at the first grid point, a pole there, and a
-    series that is not normalized."""
+    """Series forms, which have no rational fields, give the two scans'
+    results, or raise their exception: a series whose f'(0) is 0, 2 or
+    0.94, where the quotient series needs |f'(0)| = 1."""
     plan = SamplingPlan(radial_count=16, angular_count=32)
-    builds = [lambda: Moebius(1.0, 0.3, 0.2, 1.0), lambda: Polynomial((0, 1, 0.2, -0.1j, 0.05)),
-              lambda: ZTimesDerivative(Koebe()), lambda: Koebe().taylor(),
-              lambda: Polynomial((0, 0, 1)), lambda: Moebius(1, 1, 1, 0),
-              lambda: SeriesFn(TaylorSeries([0, 2, 1]), require_normalized=False)]
+    builds = [lambda: Koebe().taylor(), lambda: Polynomial((0, 1, 0.2, -0.1j, 0.05)).taylor(),
+              lambda: random_member(Alpha(0.5), 3, 2).taylor(),
+              lambda: Polynomial((0, 0, 1)).taylor(),
+              lambda: SeriesFn(TaylorSeries([0, 2, 1]), require_normalized=False),
+              lambda: Moebius(1.0, 0.3, 0.2, 1.0).taylor()]
     for i, build in enumerate(builds):
         assert build().pre_schwarzian_field is None
         _assert_one_pass_equals_two_scans(build, plan)
         raises = type(_both_norms(lambda: scan(build(), plan, 1, 2))) is tuple
-        assert raises == (i >= 4)
+        assert raises == (i >= 3)
 
 
 def _scan_subjects(a: Alpha):
-    """Fresh functions of every field path: rational fields sharing one
+    """Fresh functions of both field paths: rational fields sharing one
     denominator, rational fields that do not (the half-plane map's zero
-    Schwarzian), a quotient series and the guarded jet."""
+    Schwarzian), and the quotient series of a member and of a polynomial,
+    which has no rational field."""
     return [random_member(a, 5, 2), SpiralPower(a, cmath.exp(0.3j)), HalfPlane(),
-            random_member(a, 5, 2).taylor(), Polynomial((0, 1, 0.2, -0.1j, 0.05))]
+            random_member(a, 5, 2).taylor(), Polynomial((0, 1, 0.2, -0.1j, 0.05)).taylor()]
 
 
 def test_repeated_scan_evaluates_nothing(monkeypatch):
@@ -351,18 +355,40 @@ def _closed_forms(a: Alpha, zeta: complex):
     return (Identity(), HalfPlane(), Koebe(), RobertsonExtremal(a, zeta), SpiralPower(a, zeta))
 
 
+# Moebius maps with real c (the last one's pole 1 on the circle), complex c
+# and c = 0
+MOEBIUS_MAPS = (Moebius(1, 0.3, 0.2, 1), Moebius(1, 0, -1, 1),
+                Moebius(0.5, -0.4j, -0.25 + 0.5j, 1 + 1j), Moebius(2j, 1, 0, 2))
+
+
 @settings(max_examples=60, deadline=None)
 @given(aval=st.floats(-1.5, 1.5), zeta_arg=st.floats(-math.pi, math.pi),
        r=st.floats(0.0, 0.99), theta=st.floats(-math.pi, math.pi))
 def test_closed_form_fields_match_derivative_stacks(aval, zeta_arg, r, theta):
     """Two paths: each closed form's rational f''/f' and S_f against the
-    derivative-stack formulas pre_schwarzian_at and schwarzian_at."""
+    derivative-stack formulas pre_schwarzian_at and schwarzian_at.  A
+    Moebius map's Schwarzian field is exactly 0."""
     z = cmath.rect(r, theta)
-    for fn in _closed_forms(Alpha(aval), cmath.exp(1j * zeta_arg)):
+    for fn in _closed_forms(Alpha(aval), cmath.exp(1j * zeta_arg)) + MOEBIUS_MAPS:
         for field, at in ((fn.pre_schwarzian_field, pre_schwarzian_at),
                           (fn.schwarzian_field, schwarzian_at)):
             value = at(fn, z)
             assert abs(field(z) - value) <= 1e-9 * max(1.0, abs(value))
+    for fn in MOEBIUS_MAPS:
+        assert (fn.schwarzian_field.num, fn.schwarzian_field.den) == ((0,), (1,))
+
+
+def test_moebius_pole_in_the_disk_raises_from_its_field_and_scan():
+    """z/(1 - 2z) has its pole at 1/2: its field and every scan of it raise
+    NonFiniteValue, as jet does at the pole; (z + 1)/z, with its pole at 0,
+    raises the same exception in one pass as in two single scans."""
+    f = Moebius(1, 0, -2, 1)
+    with pytest.raises(NonFiniteValue):
+        f.pre_schwarzian_field
+    for objectives in ((1,), (2,), (1, 2), (("margin", Alpha(0.3)),)):
+        with pytest.raises(NonFiniteValue):
+            scan(Moebius(1, 0, -2, 1), SamplingPlan(), *objectives)
+    _assert_one_pass_equals_two_scans(lambda: Moebius(1, 1, 1, 0), SamplingPlan())
 
 
 @pytest.mark.parametrize("aval", [0.0, 0.3, -0.7, 1.2, -1.4])
@@ -399,18 +425,31 @@ def test_rotated_norm_estimates_never_exceed_the_exact_norms(aval, theta):
 
 
 def test_field_picks_the_path_by_what_f_provides():
+    """Rational fields up to CLOSED_FORM_CEILING where f has them, else the
+    quotient series up to its guard radius."""
     a, zeta = Alpha(0.6), cmath.exp(0.3j)
-    for fn in _closed_forms(a, zeta):
+    for fn in _closed_forms(a, zeta) + MOEBIUS_MAPS + (random_member(a, 5, 2),):
         assert _field(fn, 1) == (fn.pre_schwarzian_field, CLOSED_FORM_CEILING)
         assert _field(fn, 2) == (fn.schwarzian_field, CLOSED_FORM_CEILING)
     z = 0.3 - 0.4j
-    for fn in (Polynomial((0, 1, 0.1)), Moebius(1, 0, 0.2, 1),
-               ZTimesDerivative(SpiralPower(a, zeta))):
+    for fn in (Polynomial((0, 1, 0.1)).taylor(), Moebius(1, 0, 0.2, 1).taylor(order=64),
+               SpiralPower(a, zeta).taylor(order=32, guard_radius=0.5)):
         assert fn.pre_schwarzian_field is None and fn.schwarzian_field is None
-        for k, at in ((1, pre_schwarzian_at), (2, schwarzian_at)):
+        for k, series in ((1, pre_schwarzian_series(fn)), (2, schwarzian_series(fn))):
             point, r_limit = _field(fn, k)
-            assert r_limit == fn.radius_limit
-            assert point(z) == at(fn, z)
+            assert r_limit == fn.radius_limit == fn.series.guard_radius
+            assert point(z) == series.eval(z)
+
+
+def test_field_refuses_a_function_with_neither_field_nor_series():
+    """A kind with only a guarded jet has no f''/f' for a scan to take:
+    _field and scan raise TypeError naming it."""
+    for fn in (Polynomial((0, 1, 0.1)), ZTimesDerivative(Koebe())):
+        for k in (1, 2):
+            with pytest.raises(TypeError, match=re.escape(fn.name)):
+                _field(fn, k)
+        with pytest.raises(TypeError, match=re.escape(fn.name)):
+            scan(fn, SamplingPlan(), ("margin", Alpha(0.0)))
 
 
 def test_closed_form_scans_evaluate_no_derivative_stack(monkeypatch):

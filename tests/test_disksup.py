@@ -391,11 +391,13 @@ def test_scans_count_every_sample_but_the_grid_winner_rescore():
 
 
 def scan_path_subjects():
-    """(f, alpha), built fresh, for every catalog entry with rational fields and
-    two more members; alpha is f's own where it has one, else 0.6."""
+    """(f, alpha), built fresh, for every normalized catalog entry with
+    rational fields and two more members; alpha is f's own where it has one,
+    else 0.6."""
     members = [random_member(Alpha(-0.9), 4, 2, zero_second_deriv=True),
                random_member(Alpha(1.25), 13, 1)]
-    fns = [fn for fn in catalog_entries() if fn.pre_schwarzian_field is not None] + members
+    fns = [fn for fn in catalog_entries()
+           if fn.is_normalized and fn.pre_schwarzian_field is not None] + members
     return [(fn, fn.provenance.alpha if hasattr(fn, "provenance")
              else getattr(fn, "alpha", Alpha(0.6))) for fn in fns]
 

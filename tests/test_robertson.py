@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from disknorms import (Alpha, GeneratedMember, HalfPlane, Identity, Koebe, MemberProvenance,
-                       RobertsonExtremal, SamplingPlan, SpiralPower, ZTimesDerivative,
+                       RobertsonExtremal, SamplingPlan, SpiralPower,
                        characterization_residuals, cubic_root, duality_check,
                        is_certified_member, membership_certificate, phi_transform,
                        random_disk_points,
@@ -16,6 +16,7 @@ from disknorms import (Alpha, GeneratedMember, HalfPlane, Identity, Koebe, Membe
 from disknorms.derivatives import _field, pre_schwarzian_evaluator
 from disknorms.robertson import membership_refutation, robertson_functional
 from disknorms.errors import PhiPoleEncountered
+from fixtures import Polynomial, ZTimesDerivative
 
 PLAN = SamplingPlan()
 
@@ -109,21 +110,6 @@ def test_analytic_fields_take_the_circle_scan_alone(monkeypatch):
         assert rep.witness_r == min(_field(fn, 1)[1], SCAN_CEILING), fn.name
 
 
-def test_jet_branch_margin_keeps_the_grid():
-    """f = z + z^2 takes the guarded jet, and f' = 1 + 2z vanishes at -1/2,
-    a pole of f''/f' near which the margin is unbounded below.  Its margin is
-    the 2-D scan's, bit for bit, and negative; the circle would see only the
-    positive values on |z| = R and call f a member."""
-    from disknorms import Polynomial
-    from disknorms.disksup import circle_inf_re
-    f, a = Polynomial((0, 1, 1)), Alpha(0.0)
-    h = robertson_functional(f, a)
-    rep = robertson_margin(f, a, PLAN)
-    assert rep == weighted_inf_re(h, PLAN, r_limit=f.radius_limit)
-    assert rep.inf_value < -100.0 and abs(rep.witness + 0.5) < 0.01
-    assert circle_inf_re(h, PLAN, r_limit=f.radius_limit).inf_value > 1.0
-
-
 # -- membership_refutation ---------------------------------------------------
 
 @settings(max_examples=25, deadline=None)
@@ -186,7 +172,6 @@ def test_spirallike_koebe_is_starlike():
 
 
 def test_spirallike_zero_value_guard():
-    from disknorms import Polynomial
     from disknorms.errors import ZeroValueEncountered
     # g = z(1 - 2z) vanishes at z = 0.5, which the 8-node grid with
     # r_cap = 0.5 hits exactly (last sine node equals the cap)

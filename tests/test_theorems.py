@@ -28,7 +28,7 @@ from disknorms.errors import DiskNormsError, MaxSubdivisions
 from disknorms.robertson import membership_refutation
 from disknorms.quadrature import _GL15_NODES, _GL15_WEIGHTS, MAX_PANELS, quadrature_upto
 from disknorms.theorems import GROWTH_R_CAP, growth_table
-from test_catalog import catalog_entries
+from test_catalog import catalog_entries, scannable
 
 PLAN = SamplingPlan()
 ATAN_HALF = 0.4636476090008061   # arctan(1/2)
@@ -669,7 +669,8 @@ def test_gate_certifies_only_members_at_their_own_alpha(aval, other, seed, degre
     gate refuses it with the pole p = -1/conj(a) of phi as its witness, where
     the margin is -cos(alpha).  The gate refuses or passes every other
     function as its sampled margin alone does: a member built at another
-    alpha, RobertsonExtremal(alpha != 0) and every catalog_entries() function."""
+    alpha, RobertsonExtremal(alpha != 0) and every catalog_entries() function,
+    a polynomial by its series form."""
     from disknorms.theorems import _membership_gate
     assume(aval != other and aval != 0.9)  # catalog_entries() has a member at 0.9
     a = Alpha(aval)
@@ -678,7 +679,8 @@ def test_gate_certifies_only_members_at_their_own_alpha(aval, other, seed, degre
     zeros = list(prov.blaschke_zeros)
     zeros[slot % degree] = 1.25 * cmath.exp(1j * psi)
     hand = GeneratedMember(MemberProvenance(a, seed, degree, zero_f2, tuple(zeros), prov.gamma))
-    fns = [hand, random_member(Alpha(other), seed, degree, zero_f2), *catalog_entries()]
+    fns = [hand, random_member(Alpha(other), seed, degree, zero_f2),
+           *map(scannable, catalog_entries())]
     if aval != 0:
         fns.append(RobertsonExtremal(a))
     p = -1.0 / zeros[slot % degree].conjugate()
